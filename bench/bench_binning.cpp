@@ -88,14 +88,6 @@ int main(int argc, char** argv) {
     if (scenes.empty()) scenes = benchutil::algo_scene_names();
 
     benchutil::print_scale_banner("bench_binning: flat vs hierarchical coarse-to-fine binning");
-    // The GSTG_BINNING ops override would collapse the explicit flat/hier
-    // A/B below into one mode; this driver's modes are the experiment.
-    if (std::getenv("GSTG_BINNING") != nullptr) {
-      std::fprintf(stderr,
-                   "bench_binning: ignoring GSTG_BINNING — this driver compares explicit "
-                   "binning modes\n");
-      unsetenv("GSTG_BINNING");
-    }
 
     bool correctness_ok = true;
     bool reduction_ok = true;

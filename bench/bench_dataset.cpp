@@ -95,14 +95,6 @@ int main(int argc, char** argv) {
     if (scenes.empty()) scenes = benchutil::algo_scene_names();
 
     benchutil::print_scale_banner("bench_dataset: scene ingestion + compressed residency");
-    // The env override would collapse the explicit float32/compressed A/B
-    // below into one mode; this driver's modes are the experiment.
-    if (std::getenv("GSTG_RESIDENCY") != nullptr) {
-      std::fprintf(stderr,
-                   "bench_dataset: ignoring GSTG_RESIDENCY — this driver compares explicit "
-                   "residency modes\n");
-      unsetenv("GSTG_RESIDENCY");
-    }
 
     bool fixtures_ok = true;
     bool compression_ok = true;

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -78,15 +77,6 @@ int main(int argc, char** argv) {
     if (scenes.empty()) scenes = benchutil::algo_scene_names();
 
     benchutil::print_scale_banner("bench_quality: sortless pipeline sort-cost-vs-quality frontier");
-    // The GSTG_PIPELINE ops override would collapse the explicit
-    // exact/sortless/verify A/B below into one mode; the modes here are the
-    // experiment.
-    if (std::getenv("GSTG_PIPELINE") != nullptr) {
-      std::fprintf(stderr,
-                   "bench_quality: ignoring GSTG_PIPELINE — this driver compares explicit "
-                   "pipeline modes\n");
-      unsetenv("GSTG_PIPELINE");
-    }
 
     GsTgConfig config;
     config.threads = threads;

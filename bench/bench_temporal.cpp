@@ -12,7 +12,6 @@
 // Run:  ./bench_temporal [--out-dir=.] [--scenes=train,truck] [--threads=N]
 //                        [--hold=2] [--move=2]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -48,15 +47,6 @@ int main(int argc, char** argv) {
     if (scenes.empty()) scenes = benchutil::algo_scene_names();
 
     benchutil::print_scale_banner("bench_temporal: cross-frame group-sort reuse");
-    // The GSTG_TEMPORAL ops override would collapse the explicit
-    // kOff/kReuse/kVerify A/B below into one mode and record a junk
-    // baseline; this driver's modes are the experiment, so drop it.
-    if (std::getenv("GSTG_TEMPORAL") != nullptr) {
-      std::fprintf(stderr,
-                   "bench_temporal: ignoring GSTG_TEMPORAL — this driver compares explicit "
-                   "temporal modes\n");
-      unsetenv("GSTG_TEMPORAL");
-    }
 
     bool correctness_ok = true;
     JsonWriter json(out_dir + "/BENCH_temporal.json");

@@ -117,8 +117,8 @@ GroupSortTiming time_group_sort(const Scene& scene, int repeat, std::size_t thre
   const CellGrid tile_grid =
       CellGrid::over_image(scene.camera.width(), scene.camera.height(), config.tile_size);
   const BinnedSplats bins = identify_groups(splats, group_grid, config, counters);
-  const std::vector<TileMask> masks =
-      generate_bitmasks(splats, bins, tile_grid, config, counters);
+  std::vector<TileMask> masks;
+  generate_bitmasks_into(splats, bins, tile_grid, config, counters, masks);
 
   const auto run = [&](SortAlgo algo) {
     SortScratch scratch;

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                 scene.info.name.c_str(), path.name().c_str(), scene.cloud.size(), frames,
                 scene.render_width, scene.render_height);
 
-    GsTgConfig config;  // 16+64, Ellipse+Ellipse
+    GsTgConfig config = resolve_from_env(GsTgConfig{});  // 16+64, Ellipse+Ellipse
     config.threads = 1;  // parallelism comes from the view level below
     BatchOptions options;
     options.view_threads = args.get_size("view-threads", 0);

@@ -47,12 +47,13 @@ int main(int argc, char** argv) {
     config.temporal = mode == "off"      ? TemporalMode::kOff
                       : mode == "verify" ? TemporalMode::kVerify
                                          : TemporalMode::kReuse;
+    config = resolve_from_env(config);
 
     // Report the mode that actually runs (GSTG_TEMPORAL overrides the flag).
     std::printf("rendering '%s' along %s (%zu Gaussians), %zu frames at %dx%d, temporal=%s\n\n",
                 scene.info.name.c_str(), sequence.name.c_str(), scene.cloud.size(),
                 sequence.frame_count(), scene.render_width, scene.render_height,
-                to_string(temporal_mode_from_env(config.temporal)));
+                to_string(config.temporal));
 
     // Frames are only retained when they are going to be written out.
     const TemporalSequenceResult result =

@@ -24,16 +24,16 @@ int main(int argc, char** argv) {
                 scene.info.dataset.c_str(), scene.cloud.size(), scene.render_width,
                 scene.render_height);
 
-    // Baseline: per-tile sorting + per-tile rasterization (16x16, Ellipse).
-    RenderConfig baseline_config;
-    baseline_config.tile_size = 16;
-    baseline_config.boundary = Boundary::kEllipse;
-    const RenderResult baseline = render_baseline(scene.cloud, scene.camera, baseline_config);
-
     // GS-TG: sorting shared across a 64x64 group, rasterization per 16x16
-    // tile through per-Gaussian bitmasks.
-    GsTgConfig gstg_config;  // defaults: 16+64, Ellipse+Ellipse
+    // tile through per-Gaussian bitmasks (defaults: 16+64, Ellipse+Ellipse,
+    // plus any GSTG_* mode knobs set in the environment).
+    const GsTgConfig gstg_config = resolve_from_env(GsTgConfig{});
     const RenderResult ours = render_gstg(scene.cloud, scene.camera, gstg_config);
+
+    // Baseline: per-tile sorting + per-tile rasterization of the same 16x16
+    // Ellipse tiles.
+    const RenderResult baseline =
+        render_baseline(scene.cloud, scene.camera, gstg_config.render_config());
 
     const float diff = max_abs_diff(baseline.image, ours.image);
     std::printf("\nlossless check: max |baseline - GS-TG| = %g  (%s)\n",

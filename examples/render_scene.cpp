@@ -54,16 +54,17 @@ int main(int argc, char** argv) {
                   static_cast<double>(q.max_sh_error));
     }
 
+    const GsTgConfig env_config = resolve_from_env(GsTgConfig{});  // GSTG_* mode knobs
     RenderResult result = [&] {
       if (pipeline == "baseline") {
-        RenderConfig config;
+        RenderConfig config = env_config.render_config();
         config.tile_size = tile;
         config.boundary = boundary;
         config.threads = args.get_size("threads", 0);
         return render_baseline(scene.cloud, scene.camera, config);
       }
       if (pipeline == "gstg") {
-        GsTgConfig config;
+        GsTgConfig config = env_config;
         config.tile_size = tile;
         config.group_size = group;
         config.group_boundary = boundary;

@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(render_hist.total()), render_hist.mean());
 
     // Spot-check bit-identity against the one-shot renderer.
-    GsTgConfig reference_config = config.render;
+    GsTgConfig reference_config = service.config().render;  // as resolved at start-up
     reference_config.temporal = TemporalMode::kOff;
     const RenderResult oneshot = render_gstg(cloud, cameras.front(), reference_config);
     const RenderResponse again =

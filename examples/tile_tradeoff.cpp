@@ -24,10 +24,10 @@ int main(int argc, char** argv) {
     table.set_header({"config", "cells/Gauss", "Gauss/pixel", "pre ms", "sort ms", "raster ms",
                       "total ms"});
 
+    const GsTgConfig gstg = resolve_from_env(GsTgConfig{});  // 16+64, Ellipse+Ellipse
     for (const int tile : {8, 16, 32, 64}) {
-      RenderConfig config;
+      RenderConfig config = gstg.render_config();
       config.tile_size = tile;
-      config.boundary = Boundary::kEllipse;
       const RenderResult r = render_baseline(scene.cloud, scene.camera, config);
       table.add_row({"baseline " + std::to_string(tile) + "x" + std::to_string(tile),
                      format_fixed(r.counters.tiles_per_gaussian(), 2),
@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
                      format_fixed(r.times.raster_ms, 2), format_fixed(r.times.total_ms(), 2)});
     }
 
-    GsTgConfig config;  // 16+64, Ellipse+Ellipse
-    const RenderResult g = render_gstg(scene.cloud, scene.camera, config);
+    const RenderResult g = render_gstg(scene.cloud, scene.camera, gstg);
     table.add_row({"GS-TG 16+64",
                    format_fixed(g.counters.tiles_per_gaussian(), 2),  // group-level
                    format_fixed(g.counters.gaussians_per_pixel(), 1),

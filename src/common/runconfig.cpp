@@ -1,10 +1,9 @@
 #include "common/runconfig.h"
 
+#include <array>
 #include <charconv>
-#include <cstdio>
 #include <cstring>
 #include <cstdlib>
-#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -22,24 +21,6 @@ RunScale run_scale_from_env() {
   return RunScale{};  // "bench" default
 }
 
-TemporalMode temporal_mode_from_env(TemporalMode fallback) {
-  const char* env = std::getenv("GSTG_TEMPORAL");  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
-  if (env == nullptr) return fallback;
-  const std::string value = env;
-  if (value == "off") return TemporalMode::kOff;
-  if (value == "reuse") return TemporalMode::kReuse;
-  if (value == "verify") return TemporalMode::kVerify;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "gstg: unknown GSTG_TEMPORAL value '%s' (expected off/reuse/verify), "
-                 "keeping the configured mode\n",
-                 env);
-  }
-  return fallback;
-}
-
 const char* to_string(TemporalMode mode) {
   switch (mode) {
     case TemporalMode::kOff:
@@ -50,25 +31,6 @@ const char* to_string(TemporalMode mode) {
       return "verify";
   }
   return "?";
-}
-
-BinningMode binning_mode_from_env(BinningMode fallback) {
-  const char* env = std::getenv("GSTG_BINNING");  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
-  if (env == nullptr) return fallback;
-  const std::string value = env;
-  if (value == "flat") return BinningMode::kFlat;
-  if (value == "hierarchical") return BinningMode::kHierarchical;
-  if (value == "auto") return BinningMode::kAuto;
-  if (value == "verify") return BinningMode::kVerify;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "gstg: unknown GSTG_BINNING value '%s' (expected "
-                 "flat/hierarchical/auto/verify), keeping the configured mode\n",
-                 env);
-  }
-  return fallback;
 }
 
 const char* to_string(BinningMode mode) {
@@ -85,24 +47,6 @@ const char* to_string(BinningMode mode) {
   return "?";
 }
 
-ResidencyMode residency_mode_from_env(ResidencyMode fallback) {
-  const char* env = std::getenv("GSTG_RESIDENCY");  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
-  if (env == nullptr) return fallback;
-  const std::string value = env;
-  if (value == "float32") return ResidencyMode::kFloat32;
-  if (value == "compressed") return ResidencyMode::kCompressed;
-  if (value == "verify") return ResidencyMode::kVerify;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "gstg: unknown GSTG_RESIDENCY value '%s' (expected "
-                 "float32/compressed/verify), keeping the configured mode\n",
-                 env);
-  }
-  return fallback;
-}
-
 const char* to_string(ResidencyMode mode) {
   switch (mode) {
     case ResidencyMode::kFloat32:
@@ -115,24 +59,6 @@ const char* to_string(ResidencyMode mode) {
   return "?";
 }
 
-PipelineMode pipeline_mode_from_env(PipelineMode fallback) {
-  const char* env = std::getenv("GSTG_PIPELINE");  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
-  if (env == nullptr) return fallback;
-  const std::string value = env;
-  if (value == "exact") return PipelineMode::kExact;
-  if (value == "sortless") return PipelineMode::kSortless;
-  if (value == "verify") return PipelineMode::kVerify;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
-    std::fprintf(stderr,
-                 "gstg: unknown GSTG_PIPELINE value '%s' (expected "
-                 "exact/sortless/verify), keeping the configured mode\n",
-                 env);
-  }
-  return fallback;
-}
-
 const char* to_string(PipelineMode mode) {
   switch (mode) {
     case PipelineMode::kExact:
@@ -143,6 +69,48 @@ const char* to_string(PipelineMode mode) {
       return "verify";
   }
   return "?";
+}
+
+namespace {
+
+/// Table-driven strict lookup behind every mode_from_env overload: the
+/// value must spell one of `modes` exactly as to_string() prints it.
+template <class Mode, std::size_t N>
+Mode parse_mode(const char* name, Mode configured, const std::array<Mode, N>& modes) {
+  const char* env = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): resolve_from_env runs at process edges, before render workers exist
+  if (env == nullptr) return configured;
+  std::string accepted;
+  for (const Mode mode : modes) {
+    if (std::strcmp(env, to_string(mode)) == 0) return mode;
+    if (!accepted.empty()) accepted += '/';
+    accepted += to_string(mode);
+  }
+  throw ConfigError(std::string(name) + ": unknown value '" + env + "' (expected one of " +
+                    accepted + ")");
+}
+
+}  // namespace
+
+BinningMode mode_from_env(const char* name, BinningMode configured) {
+  return parse_mode(name, configured,
+                    std::array{BinningMode::kFlat, BinningMode::kHierarchical, BinningMode::kAuto,
+                               BinningMode::kVerify});
+}
+
+PipelineMode mode_from_env(const char* name, PipelineMode configured) {
+  return parse_mode(name, configured,
+                    std::array{PipelineMode::kExact, PipelineMode::kSortless, PipelineMode::kVerify});
+}
+
+ResidencyMode mode_from_env(const char* name, ResidencyMode configured) {
+  return parse_mode(name, configured,
+                    std::array{ResidencyMode::kFloat32, ResidencyMode::kCompressed,
+                               ResidencyMode::kVerify});
+}
+
+TemporalMode mode_from_env(const char* name, TemporalMode configured) {
+  return parse_mode(name, configured,
+                    std::array{TemporalMode::kOff, TemporalMode::kReuse, TemporalMode::kVerify});
 }
 
 std::size_t env_positive_size(const char* name, std::size_t fallback) {
@@ -159,11 +127,11 @@ std::size_t env_positive_size(const char* name, std::size_t fallback) {
   const char* end = env + std::strlen(env);
   const auto [ptr, ec] = std::from_chars(begin, end, parsed);
   if (ec == std::errc::result_out_of_range) {
-    throw std::invalid_argument(std::string(name) + ": value out of range '" + env + "'");
+    throw ConfigError(std::string(name) + ": value out of range '" + env + "'");
   }
   if (ec != std::errc() || ptr != end || parsed == 0) {
-    throw std::invalid_argument(std::string(name) + ": invalid value '" + std::string(env) +
-                                "' (expected a positive integer)");
+    throw ConfigError(std::string(name) + ": invalid value '" + std::string(env) +
+                      "' (expected a positive integer)");
   }
   return parsed;
 }

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 
 namespace gstg {
 
@@ -18,10 +19,10 @@ namespace gstg {
 /// (tools/lint/gstg_lint.py) enforces both, so a new knob cannot ship
 /// undocumented or unregistered. Keep the list sorted.
 inline constexpr const char* kGstgEnvVars[] = {
-    "GSTG_BINNING",           // binning_mode_from_env (flat/hierarchical/auto/verify)
+    "GSTG_BINNING",           // resolve_from_env (flat/hierarchical/auto/verify)
     "GSTG_METRICS",           // telemetry: metrics JSON written at process exit
-    "GSTG_PIPELINE",          // pipeline_mode_from_env (exact/sortless/verify)
-    "GSTG_RESIDENCY",         // residency_mode_from_env (float32/compressed/verify)
+    "GSTG_PIPELINE",          // resolve_from_env (exact/sortless/verify)
+    "GSTG_RESIDENCY",         // resolve_from_env (float32/compressed/verify)
     "GSTG_SCALE",             // run_scale_from_env (bench/small/full)
     "GSTG_SERVICE_BATCH",     // render service: max batched requests per worker wake
     "GSTG_SERVICE_QUEUE",     // render service: bounded queue capacity
@@ -29,9 +30,17 @@ inline constexpr const char* kGstgEnvVars[] = {
     "GSTG_SERVICE_SESSIONS",  // render service: per-session renderer cache capacity
     "GSTG_SERVICE_WORKERS",   // render service: worker thread count
     "GSTG_SIMD",              // SIMD backend override (scalar/sse4/avx2/...)
-    "GSTG_TEMPORAL",          // temporal_mode_from_env (off/reuse/verify)
+    "GSTG_TEMPORAL",          // resolve_from_env (off/reuse/verify)
     "GSTG_THREADS",           // worker_thread_count override
     "GSTG_TRACE",             // telemetry: trace JSON written at process exit
+};
+
+/// A malformed or unknown GSTG_* run-knob value. The message names the
+/// variable, the value and what was expected. Derives from
+/// std::invalid_argument, so precondition-style catch sites still hold.
+class ConfigError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
 };
 
 /// Workload scaling applied by the scene recipes.
@@ -54,18 +63,16 @@ RunScale run_scale_from_env();
 
 /// Number of worker threads for the software pipelines (GSTG_THREADS or
 /// hardware_concurrency). A set-but-malformed GSTG_THREADS (non-numeric,
-/// trailing garbage, zero, negative) throws std::invalid_argument naming
-/// the variable and value — a typo must not silently fall back to
-/// hardware concurrency.
+/// trailing garbage, zero, negative) throws ConfigError naming the variable
+/// and value — a typo must not silently fall back to hardware concurrency.
 std::size_t worker_thread_count();
 
 /// Strictly parses a positive-integer environment override: the entire
 /// value must be a decimal integer >= 1 (no trailing garbage, no sign, no
 /// whitespace). Returns `fallback` when the variable is unset; throws
-/// std::invalid_argument naming the variable and value otherwise. Every
-/// numeric environment override (GSTG_THREADS, the GSTG_SERVICE_* knobs)
-/// goes through this one parser so they all reject malformed input the
-/// same way.
+/// ConfigError naming the variable and value otherwise. Every numeric
+/// environment override (GSTG_THREADS, the GSTG_SERVICE_* knobs) goes
+/// through this one parser so they all reject malformed input the same way.
 std::size_t env_positive_size(const char* name, std::size_t fallback);
 
 /// Cross-frame group-sort reuse mode of the temporal renderer
@@ -78,11 +85,6 @@ std::size_t env_positive_size(const char* name, std::size_t fallback);
 ///   kVerify — reuse, but also re-sort every group and assert the reused
 ///             order is bit-identical (the lossless-invariant audit mode)
 enum class TemporalMode : std::uint8_t { kOff, kReuse, kVerify };
-
-/// Reads GSTG_TEMPORAL from the environment ("off" / "reuse" / "verify").
-/// Unset returns `fallback`; an unknown value is ignored with a one-time
-/// warning, mirroring the GSTG_SIMD override semantics.
-TemporalMode temporal_mode_from_env(TemporalMode fallback);
 
 [[nodiscard]] const char* to_string(TemporalMode mode);
 
@@ -101,11 +103,6 @@ TemporalMode temporal_mode_from_env(TemporalMode fallback);
 ///                   (depth, index) per-cell sort (the audit mode)
 enum class BinningMode : std::uint8_t { kFlat, kHierarchical, kAuto, kVerify };
 
-/// Reads GSTG_BINNING from the environment ("flat" / "hierarchical" /
-/// "auto" / "verify"). Unset returns `fallback`; an unknown value is
-/// ignored with a one-time warning, mirroring GSTG_TEMPORAL.
-BinningMode binning_mode_from_env(BinningMode fallback);
-
 [[nodiscard]] const char* to_string(BinningMode mode);
 
 /// Resident representation of the Gaussian cloud inside the renderer
@@ -121,11 +118,6 @@ BinningMode binning_mode_from_env(BinningMode fallback);
 ///   kVerify     — decode the full cloud up front AND stream-decode, then
 ///                 assert the two renders are bit-identical (the audit mode)
 enum class ResidencyMode : std::uint8_t { kFloat32, kCompressed, kVerify };
-
-/// Reads GSTG_RESIDENCY from the environment ("float32" / "compressed" /
-/// "verify"). Unset returns `fallback`; an unknown value is ignored with a
-/// one-time warning, mirroring GSTG_TEMPORAL / GSTG_BINNING.
-ResidencyMode residency_mode_from_env(ResidencyMode fallback);
 
 [[nodiscard]] const char* to_string(ResidencyMode mode);
 
@@ -147,11 +139,31 @@ ResidencyMode residency_mode_from_env(ResidencyMode fallback);
 ///               (the quality-audit mode; see src/render/quality.h)
 enum class PipelineMode : std::uint8_t { kExact, kSortless, kVerify };
 
-/// Reads GSTG_PIPELINE from the environment ("exact" / "sortless" /
-/// "verify"). Unset returns `fallback`; an unknown value is ignored with a
-/// one-time warning, mirroring GSTG_TEMPORAL / GSTG_BINNING.
-PipelineMode pipeline_mode_from_env(PipelineMode fallback);
-
 [[nodiscard]] const char* to_string(PipelineMode mode);
+
+/// The one strict parser of the mode knobs: returns `configured` when the
+/// variable `name` is unset, the mode whose to_string() spells its value
+/// otherwise, and throws ConfigError naming the variable, the value and
+/// the accepted values for anything else.
+[[nodiscard]] BinningMode mode_from_env(const char* name, BinningMode configured);
+[[nodiscard]] PipelineMode mode_from_env(const char* name, PipelineMode configured);
+[[nodiscard]] ResidencyMode mode_from_env(const char* name, ResidencyMode configured);
+[[nodiscard]] TemporalMode mode_from_env(const char* name, TemporalMode configured);
+
+/// Applies GSTG_BINNING, GSTG_PIPELINE, GSTG_RESIDENCY and GSTG_TEMPORAL to
+/// the matching fields of a render config (core/gstg_config.h's GsTgConfig;
+/// a template only so this layer needs no core header). Only process edges
+/// call it — the examples' mains and the RenderService constructor — on the
+/// thread that owns the process before render workers exist. The library
+/// itself never reads these variables: a Renderer, TemporalRenderer or
+/// render_baseline renders exactly the config it is given.
+template <class Config>
+[[nodiscard]] Config resolve_from_env(Config config) {
+  config.binning = mode_from_env("GSTG_BINNING", config.binning);
+  config.pipeline = mode_from_env("GSTG_PIPELINE", config.pipeline);
+  config.residency = mode_from_env("GSTG_RESIDENCY", config.residency);
+  config.temporal = mode_from_env("GSTG_TEMPORAL", config.temporal);
+  return config;
+}
 
 }  // namespace gstg

@@ -19,15 +19,6 @@ BinnedSplats identify_groups(std::span<const ProjectedSplat> splats, const CellG
                     config.binning);
 }
 
-std::vector<TileMask> generate_bitmasks(std::span<const ProjectedSplat> splats,
-                                        const BinnedSplats& group_bins,
-                                        const CellGrid& tile_grid, const GsTgConfig& config,
-                                        RenderCounters& counters) {
-  std::vector<TileMask> masks;
-  generate_bitmasks_into(splats, group_bins, tile_grid, config, counters, masks);
-  return masks;
-}
-
 void generate_bitmasks_into(std::span<const ProjectedSplat> splats,
                             const BinnedSplats& group_bins, const CellGrid& tile_grid,
                             const GsTgConfig& config, RenderCounters& counters,

@@ -40,13 +40,8 @@ BinnedSplats identify_groups(std::span<const ProjectedSplat> splats, const CellG
 /// boundary method. Tests are restricted to the splat's AABB candidate
 /// range, mirroring baseline binning, so the effective per-tile hit set is
 /// identical to a baseline run with the same boundary (the lossless
-/// property). Updates counters.bitmask_tests.
-std::vector<TileMask> generate_bitmasks(std::span<const ProjectedSplat> splats,
-                                        const BinnedSplats& group_bins,
-                                        const CellGrid& tile_grid, const GsTgConfig& config,
-                                        RenderCounters& counters);
-
-/// generate_bitmasks() into a caller-owned mask vector (resized in place).
+/// property). Writes one mask per entry into the caller-owned `masks`
+/// (resized in place) and updates counters.bitmask_tests.
 GSTG_HOT_NOALLOC
 void generate_bitmasks_into(std::span<const ProjectedSplat> splats,
                             const BinnedSplats& group_bins, const CellGrid& tile_grid,

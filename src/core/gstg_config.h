@@ -17,6 +17,10 @@ namespace gstg {
 /// supports up to 64 tiles per group to cover the Fig. 11 sweep (8+64).
 using TileMask = std::uint64_t;
 
+/// The renderers use a config exactly as given. The four mode fields
+/// (binning, pipeline, residency, temporal) have GSTG_* environment
+/// overrides that only process edges apply, through resolve_from_env
+/// (common/runconfig.h); the library never reads them.
 struct GsTgConfig {
   int tile_size = 16;
   int group_size = 64;
@@ -34,32 +38,31 @@ struct GsTgConfig {
   /// exact exponential mode (the default) keeps bit-identity with scalar.
   SimdPolicy simd;
   /// Cross-frame group-sort reuse mode of the temporal renderer
-  /// (src/temporal/temporal_renderer.h; GSTG_TEMPORAL overrides). kOff by
-  /// default so the one-shot and batch paths are untouched; every mode is
-  /// pixel-exact — reuse only happens when the cached order is provably the
-  /// sorted order, and kVerify re-sorts to audit that proof.
+  /// (src/temporal/temporal_renderer.h). kOff by default so the one-shot and
+  /// batch paths are untouched; every mode is pixel-exact — reuse only
+  /// happens when the cached order is provably the sorted order, and kVerify
+  /// re-sorts to audit that proof.
   TemporalMode temporal = TemporalMode::kOff;
-  /// Tile/group identification strategy (render/binning.h; GSTG_BINNING
-  /// overrides): flat, hierarchical coarse→fine, kAuto (hierarchical on
-  /// large grids — the default), or kVerify (hierarchical audited
-  /// bit-identical against flat). Applies to both the group identification
-  /// pass and the baseline comparison runs render_config() feeds; every
-  /// mode produces identical hit sets, so the lossless gate is unaffected.
+  /// Tile/group identification strategy (render/binning.h): flat,
+  /// hierarchical coarse→fine, kAuto (hierarchical on large grids — the
+  /// default), or kVerify (hierarchical audited bit-identical against flat).
+  /// Applies to both the group identification pass and the baseline
+  /// comparison runs render_config() feeds; every mode produces identical hit
+  /// sets, so the lossless gate is unaffected.
   BinningMode binning = BinningMode::kAuto;
   /// Resident-form policy of the compressed render path — only consulted by
-  /// Renderer::render(const CompressedCloud&, ...) (GSTG_RESIDENCY
-  /// overrides): kCompressed (the default) streams fp16 blocks through
-  /// per-worker decode scratch, kFloat32 decodes the whole cloud up front,
-  /// and kVerify runs both preprocesses and throws ResidencyError unless
-  /// the streamed splat stream is bit-identical to the up-front one.
+  /// Renderer::render(const CompressedCloud&, ...): kCompressed (the default)
+  /// streams fp16 blocks through per-worker decode scratch, kFloat32 decodes
+  /// the whole cloud up front, and kVerify runs both preprocesses and throws
+  /// ResidencyError unless the streamed splat stream is bit-identical to the
+  /// up-front one.
   ResidencyMode residency = ResidencyMode::kCompressed;
-  /// Blending discipline (common/runconfig.h; GSTG_PIPELINE overrides):
-  /// kExact (the default) keeps the depth-sorted, bit-identical pipeline;
-  /// kSortless skips group sorting entirely and blends with
-  /// order-independent transmittance — intentionally lossy, gated on a
-  /// PSNR/SSIM floor (bench_quality) instead of the lossless gate; kVerify
-  /// ships the sortless image and also renders the exact reference,
-  /// reporting per-frame quality (FrameContext::quality).
+  /// Blending discipline (common/runconfig.h): kExact (the default) keeps the
+  /// depth-sorted, bit-identical pipeline; kSortless skips group sorting
+  /// entirely and blends with order-independent transmittance — intentionally
+  /// lossy, gated on a PSNR/SSIM floor (bench_quality) instead of the
+  /// lossless gate; kVerify ships the sortless image and also renders the
+  /// exact reference, reporting per-frame quality (FrameContext::quality).
   PipelineMode pipeline = PipelineMode::kExact;
   std::size_t threads = 0;  ///< 0 = auto
   /// Starts the process-global trace collector (src/telemetry/trace.h) when

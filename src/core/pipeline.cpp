@@ -2,7 +2,6 @@
 
 #include "common/timer.h"
 #include "core/renderer.h"
-#include "render/preprocess.h"
 
 namespace gstg {
 
@@ -19,18 +18,13 @@ RenderResult render_gstg(const GaussianCloud& cloud, const Camera& camera,
 
 GsTgFrameData build_gstg_frame(const GaussianCloud& cloud, const Camera& camera,
                                const GsTgConfig& config) {
-  config.validate();
-  GsTgFrameData data;
-  data.splats = preprocess(cloud, camera, config.render_config(), data.counters);
-  data.frame.config = config;
-  data.frame.tile_grid = CellGrid::over_image(camera.width(), camera.height(), config.tile_size);
-  data.frame.group_grid = CellGrid::over_image(camera.width(), camera.height(), config.group_size);
-  data.frame.group_bins = identify_groups(data.splats, data.frame.group_grid, config, data.counters);
-  data.frame.masks = generate_bitmasks(data.splats, data.frame.group_bins, data.frame.tile_grid,
-                                       config, data.counters);
-  sort_groups(data.frame.group_bins, data.frame.masks, data.splats, config.threads, data.counters,
-              config.sort_algo);
-  return data;
+  // The persistent renderer's own stages, stopped before raster.
+  const Renderer renderer(config);
+  FrameContext ctx;
+  Timer timer;
+  renderer.begin_frame(cloud, camera, ctx, timer);
+  renderer.order_groups(ctx);
+  return GsTgFrameData{std::move(ctx.splats), std::move(ctx.frame), ctx.counters};
 }
 
 }  // namespace gstg

@@ -30,8 +30,9 @@ struct GsTgFrameData {
   RenderCounters counters;
 };
 
-/// Runs preprocessing through group sorting (no rasterization) and returns
-/// the intermediate data.
+/// Runs Renderer::begin_frame and the plain group sort (no rasterization)
+/// and returns the intermediate data. The group lists come back depth-sorted
+/// under every pipeline mode.
 GsTgFrameData build_gstg_frame(const GaussianCloud& cloud, const Camera& camera,
                                const GsTgConfig& config);
 

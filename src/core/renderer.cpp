@@ -6,36 +6,14 @@
 #include <string>
 #include <thread>
 
-#include "common/runconfig.h"
 #include "telemetry/trace.h"
 
 namespace gstg {
 
 Renderer::Renderer(const GsTgConfig& config) : config_(config) {
-  config_.binning = binning_mode_from_env(config.binning);
-  config_.residency = residency_mode_from_env(config.residency);
-  config_.pipeline = pipeline_mode_from_env(config.pipeline);
   config_.validate();
   telemetry::ensure_started_from_env();
   if (config_.trace) telemetry::ensure_collecting();
-}
-
-void Renderer::render(const GaussianCloud& cloud, const Camera& camera,
-                      FrameContext& ctx) const {
-  GSTG_SPAN("frame");
-  ctx.times = {};
-  ctx.counters = {};
-  ctx.quality = {};
-  Timer timer;
-
-  {
-    // Preprocessing: features + culling. The scratch-reusing form keeps the
-    // steady state allocation-free.
-    GSTG_SPAN("preprocess");
-    preprocess_into(cloud, camera, config_.render_config(), ctx.counters, ctx.splats,
-                    ctx.preprocess);
-  }
-  finish_frame(camera, ctx, timer);
 }
 
 namespace {
@@ -56,20 +34,19 @@ bool splats_identical(const ProjectedSplat& a, const ProjectedSplat& b) {
          bits_equal(a.rgb.z, b.rgb.z) && bits_equal(a.rho, b.rho) && a.index == b.index;
 }
 
-}  // namespace
+/// Preprocessing (features + culling) of the float32 cloud. The
+/// scratch-reusing form keeps the steady state allocation-free.
+void preprocess_stage(const GsTgConfig& config, const GaussianCloud& cloud, const Camera& camera,
+                      FrameContext& ctx) {
+  preprocess_into(cloud, camera, config.render_config(), ctx.counters, ctx.splats,
+                  ctx.preprocess);
+}
 
-void Renderer::render(const CompressedCloud& cloud, const Camera& camera,
-                      FrameContext& ctx) const {
-  GSTG_SPAN("frame");
-  ctx.times = {};
-  ctx.counters = {};
-  ctx.quality = {};
-  Timer timer;
-  const RenderConfig rc = config_.render_config();
-
-  {
-    GSTG_SPAN("preprocess");
-    switch (config_.residency) {
+/// Preprocessing of the fp16-resident cloud under config.residency.
+void preprocess_stage(const GsTgConfig& config, const CompressedCloud& cloud,
+                      const Camera& camera, FrameContext& ctx) {
+  const RenderConfig rc = config.render_config();
+  switch (config.residency) {
     case ResidencyMode::kFloat32:
       cloud.decode_range(0, cloud.size(), ctx.decoded);
       preprocess_into(ctx.decoded, camera, rc, ctx.counters, ctx.splats, ctx.preprocess);
@@ -110,81 +87,109 @@ void Renderer::render(const CompressedCloud& cloud, const Camera& camera,
       }
       break;
     }
-    }
   }
-  finish_frame(camera, ctx, timer);
 }
 
-void Renderer::finish_frame(const Camera& camera, FrameContext& ctx, Timer& timer) const {
+/// The frame up to its ordering step: preprocess, then group
+/// identification and bitmask generation over the frame's grids.
+template <class Cloud>
+void begin(const GsTgConfig& config, const Cloud& cloud, const Camera& camera, FrameContext& ctx,
+           Timer& timer) {
+  ctx.times = {};
+  ctx.counters = {};
+  ctx.quality = {};
+  {
+    GSTG_SPAN("preprocess");
+    preprocess_stage(config, cloud, camera, ctx);
+  }
+
   // Group identification is bin_splats at group granularity
   // (identify_groups); charged to the preprocessing stage like the paper.
-  ctx.frame.config = config_;
-  ctx.frame.tile_grid = CellGrid::over_image(camera.width(), camera.height(), config_.tile_size);
-  ctx.frame.group_grid =
-      CellGrid::over_image(camera.width(), camera.height(), config_.group_size);
+  ctx.frame.config = config;
+  ctx.frame.tile_grid = CellGrid::over_image(camera.width(), camera.height(), config.tile_size);
+  ctx.frame.group_grid = CellGrid::over_image(camera.width(), camera.height(), config.group_size);
   {
     GSTG_SPAN("binning");
-    bin_splats_into(ctx.splats, ctx.frame.group_grid, config_.group_boundary, config_.threads,
-                    ctx.counters, ctx.frame.group_bins, ctx.binning, config_.binning);
+    bin_splats_into(ctx.splats, ctx.frame.group_grid, config.group_boundary, config.threads,
+                    ctx.counters, ctx.frame.group_bins, ctx.binning, config.binning);
   }
   ctx.times.preprocess_ms = timer.lap_ms();
 
   {
     // Bitmask generation (sequential here; overlapped with sorting in HW).
     GSTG_SPAN("bitmask");
-    generate_bitmasks_into(ctx.splats, ctx.frame.group_bins, ctx.frame.tile_grid, config_,
+    generate_bitmasks_into(ctx.splats, ctx.frame.group_bins, ctx.frame.tile_grid, config,
                            ctx.counters, ctx.frame.masks);
   }
   ctx.times.bitmask_ms = timer.lap_ms();
+}
 
-  if (config_.pipeline != PipelineMode::kExact) {
-    finish_sortless_stages(config_, camera, ctx, timer);
-    return;
-  }
+/// One whole frame with the plain ordering step (exact pipeline only).
+template <class Cloud>
+void render_frame(const Renderer& renderer, const Cloud& cloud, const Camera& camera,
+                  FrameContext& ctx) {
+  GSTG_SPAN("frame");
+  Timer timer;
+  begin(renderer.config(), cloud, camera, ctx, timer);
+  if (renderer.config().pipeline == PipelineMode::kExact) renderer.order_groups(ctx);
+  renderer.end_frame(camera, ctx, timer);
+}
 
-  {
-    // Group-wise sorting.
-    GSTG_SPAN("sort_groups");
-    sort_groups(ctx.frame.group_bins, ctx.frame.masks, ctx.splats, config_.threads, ctx.counters,
-                config_.sort_algo, &ctx.sort);
-  }
+}  // namespace
+
+void Renderer::render(const GaussianCloud& cloud, const Camera& camera,
+                      FrameContext& ctx) const {
+  render_frame(*this, cloud, camera, ctx);
+}
+
+void Renderer::render(const CompressedCloud& cloud, const Camera& camera,
+                      FrameContext& ctx) const {
+  render_frame(*this, cloud, camera, ctx);
+}
+
+void Renderer::begin_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx,
+                           Timer& timer) const {
+  begin(config_, cloud, camera, ctx, timer);
+}
+
+void Renderer::order_groups(FrameContext& ctx) const {
+  GSTG_SPAN("sort_groups");
+  sort_groups(ctx.frame.group_bins, ctx.frame.masks, ctx.splats, config_.threads, ctx.counters,
+              config_.sort_algo, &ctx.sort);
+}
+
+void Renderer::end_frame(const Camera& camera, FrameContext& ctx, Timer& timer) const {
+  // Whatever ordering ran since bitmask generation is the sort stage. The
+  // sortless pipelines run none: the raw bin order feeds the
+  // order-independent kernel directly (its output is invariant under any
+  // reordering), so ctx.counters reports zero sort_pairs.
   ctx.times.sort_ms = timer.lap_ms();
 
   {
     // Tile-wise rasterization with bitmask filtering.
     GSTG_SPAN("raster");
     ctx.image.resize(camera.width(), camera.height());
-    rasterize_grouped(ctx.frame, ctx.splats, ctx.image, config_.threads, ctx.counters,
-                      &ctx.raster);
-  }
-  ctx.times.raster_ms = timer.lap_ms();
-}
-
-void finish_sortless_stages(const GsTgConfig& config, const Camera& camera, FrameContext& ctx,
-                            Timer& timer) {
-  // No group sort runs; the raw bin order feeds the order-independent
-  // kernel directly (its output is invariant under any reordering).
-  ctx.times.sort_ms = timer.lap_ms();
-
-  {
-    GSTG_SPAN("raster");
-    ctx.image.resize(camera.width(), camera.height());
-    rasterize_grouped_sortless(ctx.frame, ctx.splats, ctx.image, config.threads, ctx.counters,
-                               &ctx.raster);
+    if (config_.pipeline == PipelineMode::kExact) {
+      rasterize_grouped(ctx.frame, ctx.splats, ctx.image, config_.threads, ctx.counters,
+                        &ctx.raster);
+    } else {
+      rasterize_grouped_sortless(ctx.frame, ctx.splats, ctx.image, config_.threads,
+                                 ctx.counters, &ctx.raster);
+    }
   }
   ctx.times.raster_ms = timer.lap_ms();
 
-  if (config.pipeline == PipelineMode::kVerify) {
+  if (config_.pipeline == PipelineMode::kVerify) {
     // Quality audit: sort the bins and render the exact reference. Audit
     // work is charged to a discarded counter record — ctx.counters (and
     // ctx.image, already flushed above) match a pure kSortless frame, and
     // the audit time stays out of the per-stage attribution.
     GSTG_SPAN("quality_audit");
     RenderCounters audit;
-    sort_groups(ctx.frame.group_bins, ctx.frame.masks, ctx.splats, config.threads, audit,
-                config.sort_algo, &ctx.sort);
+    sort_groups(ctx.frame.group_bins, ctx.frame.masks, ctx.splats, config_.threads, audit,
+                config_.sort_algo, &ctx.sort);
     ctx.verify_image.resize(camera.width(), camera.height());
-    rasterize_grouped(ctx.frame, ctx.splats, ctx.verify_image, config.threads, audit,
+    rasterize_grouped(ctx.frame, ctx.splats, ctx.verify_image, config_.threads, audit,
                       &ctx.raster);
     ctx.quality = image_quality(ctx.verify_image, ctx.image);
   }

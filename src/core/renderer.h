@@ -63,10 +63,20 @@ struct FrameContext {
 /// A persistent renderer bound to one validated configuration. Stateless
 /// across calls apart from the config, so one Renderer may be shared by
 /// many threads as long as each thread renders into its own FrameContext.
+///
+/// Every GS-TG frame path runs the one stage sequence written here (paper
+/// Fig. 9): preprocess with group identification, bitmask generation, the
+/// group ordering, then tile raster with bitmask filtering. The render()
+/// overloads differ only in their preprocess step; TemporalRenderer and
+/// build_gstg_frame reuse begin_frame()/end_frame() and supply only their
+/// ordering step. StageTimes attribution is that of render_gstg
+/// (core/pipeline.h).
 class Renderer {
  public:
-  /// Validates and captures the configuration (throws std::invalid_argument
-  /// on an invalid one, like render_gstg).
+  /// Validates and captures the configuration as given (throws
+  /// std::invalid_argument on an invalid one, like render_gstg). The
+  /// environment is not consulted: process edges apply the GSTG_* mode
+  /// knobs beforehand with resolve_from_env (common/runconfig.h).
   explicit Renderer(const GsTgConfig& config);
 
   [[nodiscard]] const GsTgConfig& config() const { return config_; }
@@ -89,22 +99,26 @@ class Renderer {
   /// would — bit-identical across modes, threads and SIMD backends.
   void render(const CompressedCloud& cloud, const Camera& camera, FrameContext& ctx) const;
 
- private:
-  void finish_frame(const Camera& camera, FrameContext& ctx, Timer& timer) const;
+  /// render() split around its ordering step, for frame paths that order
+  /// the group lists themselves. begin_frame resets ctx's products, then
+  /// runs preprocess, grid set-up, group identification and bitmask
+  /// generation. The caller orders ctx.frame — order_groups(), or its own
+  /// order — under the exact pipeline only: kSortless/kVerify blend the raw
+  /// bin order. end_frame charges whatever ran in between to sort_ms and
+  /// runs the raster stage: exact, or sortless plus (kVerify) the quality
+  /// audit into ctx.verify_image / ctx.quality. `timer` carries the stage
+  /// laps from begin_frame to end_frame.
+  void begin_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx,
+                   Timer& timer) const;
+  void end_frame(const Camera& camera, FrameContext& ctx, Timer& timer) const;
 
+  /// The plain ordering step: depth-sorts every group list of ctx.frame
+  /// with its masks (core/grouping.h's sort_groups).
+  void order_groups(FrameContext& ctx) const;
+
+ private:
   GsTgConfig config_;
 };
-
-/// Shared post-bitmask stages of a frame under a non-exact pipeline
-/// (kSortless / kVerify), used by Renderer and TemporalRenderer: no group
-/// sort runs — the raw (unsorted) bins feed the order-independent tile
-/// kernel directly, so ctx.counters reports zero sort_pairs. Under kVerify
-/// the audit additionally sorts the bins, renders the exact reference into
-/// ctx.verify_image and fills ctx.quality; audit work is charged to a
-/// discarded counter record so ctx.counters (and ctx.image — the sortless
-/// kernel is order-independent bit-for-bit) match a pure kSortless run.
-void finish_sortless_stages(const GsTgConfig& config, const Camera& camera, FrameContext& ctx,
-                            Timer& timer);
 
 /// Batch rendering options.
 struct BatchOptions {

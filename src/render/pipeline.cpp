@@ -18,13 +18,11 @@ RenderResult render_baseline(const GaussianCloud& cloud, const Camera& camera,
       preprocess(cloud, camera, config, result.counters);
   const CellGrid grid =
       CellGrid::over_image(camera.width(), camera.height(), config.tile_size);
-  BinnedSplats bins = bin_splats(splats, grid, config.boundary, config.threads, result.counters,
-                                 binning_mode_from_env(config.binning));
+  BinnedSplats bins =
+      bin_splats(splats, grid, config.boundary, config.threads, result.counters, config.binning);
   result.times.preprocess_ms = timer.lap_ms();
 
-  const PipelineMode pipeline = pipeline_mode_from_env(config.pipeline);
-
-  if (pipeline != PipelineMode::kExact) {
+  if (config.pipeline != PipelineMode::kExact) {
     // Sortless: blend the raw (unsorted) per-tile lists order-independently.
     // No sort runs, so sort_pairs / sort_comparison_volume stay 0.
     result.times.sort_ms = timer.lap_ms();
@@ -32,7 +30,7 @@ RenderResult render_baseline(const GaussianCloud& cloud, const Camera& camera,
                            config.simd);
     result.times.raster_ms = timer.lap_ms();
 
-    if (pipeline == PipelineMode::kVerify) {
+    if (config.pipeline == PipelineMode::kVerify) {
       // Audit render: the exact pipeline on the same bins, reported as
       // PSNR/SSIM but never shipped (counters/times stay the sortless ones).
       RenderCounters audit_counters;

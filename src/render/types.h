@@ -36,16 +36,16 @@ struct RenderConfig {
   /// (kAuto = widest verified, overridable via GSTG_SIMD) and exponential
   /// mode (kExact keeps bit-identity with the scalar path, the default).
   SimdPolicy simd;
-  /// Tile-identification strategy (render/binning.h; GSTG_BINNING
-  /// overrides): flat single-level binning, the hierarchical coarse→fine
-  /// pass, kAuto (hierarchical on large grids — the default), or kVerify
-  /// (hierarchical audited bit-identical against flat). Every mode
-  /// produces identical per-cell hit sets.
+  /// Tile-identification strategy (render/binning.h): flat single-level
+  /// binning, the hierarchical coarse→fine pass, kAuto (hierarchical on
+  /// large grids — the default), or kVerify (hierarchical audited
+  /// bit-identical against flat). Every mode produces identical per-cell
+  /// hit sets.
   BinningMode binning = BinningMode::kAuto;
-  /// Blending discipline (common/runconfig.h; GSTG_PIPELINE overrides):
-  /// kExact depth-sorts per tile, kSortless skips the per-tile sort and
-  /// blends with order-independent transmittance (lossy, quality-gated),
-  /// kVerify ships the sortless image and reports PSNR/SSIM vs exact.
+  /// Blending discipline (common/runconfig.h): kExact depth-sorts per
+  /// tile, kSortless skips the per-tile sort and blends with
+  /// order-independent transmittance (lossy, quality-gated), kVerify ships
+  /// the sortless image and reports PSNR/SSIM vs exact.
   PipelineMode pipeline = PipelineMode::kExact;
   /// Worker threads (0 = auto).
   std::size_t threads = 0;

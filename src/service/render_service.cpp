@@ -88,6 +88,7 @@ ServiceConfig ServiceConfig::resolved() const {
   if (r.session_capacity == 0) {
     r.session_capacity = env_positive_size("GSTG_SERVICE_SESSIONS", 64);
   }
+  r.render = resolve_from_env(r.render);
   r.render.validate();
   return r;
 }
@@ -101,10 +102,24 @@ RenderResponse error_response(ServiceStatus status, std::string message) {
   return response;
 }
 
+/// The fast tier's config: the service's render config on the sortless
+/// pipeline, resolved against the environment once more so GSTG_PIPELINE
+/// (an operator escape hatch) rebinds the fast tier and its verify-gate
+/// reference alike. Temporal is off, so the config is valid whatever the
+/// session settings.
+GsTgConfig fast_tier_config(GsTgConfig render) {
+  render.pipeline = PipelineMode::kSortless;
+  GsTgConfig fast = resolve_from_env(render);
+  fast.temporal = TemporalMode::kOff;
+  return fast;
+}
+
 }  // namespace
 
 RenderService::RenderService(const ServiceConfig& config, Loader loader)
-    : config_(config.resolved()), cache_(config_.scene_capacity, std::move(loader)) {
+    : config_(config.resolved()),
+      fast_config_(fast_tier_config(config_.render)),
+      cache_(config_.scene_capacity, std::move(loader)) {
   telemetry::ensure_started_from_env();
   telemetry::ensure_metrics_from_env();
   if (config_.trace) telemetry::ensure_collecting();
@@ -352,18 +367,13 @@ RenderResponse RenderService::render_one(const RenderRequest& request, const Gau
 
 void RenderService::worker_loop() {
   // Persistent per-worker resources: stateless requests render through one
-  // reused Renderer + FrameContext (the zero-steady-state-allocation path).
-  // The fast tier gets its own sortless pair: pipeline forced to kSortless
-  // (GSTG_PIPELINE may still override it process-wide inside the Renderer
-  // constructor — an operator escape hatch, applied identically to the
-  // verify-gate reference) and temporal off so the pair is always a valid
-  // configuration regardless of the service's session settings.
+  // reused Renderer + FrameContext (the zero-steady-state-allocation path),
+  // the fast tier through its own sortless pair. Both configs were resolved
+  // against the environment in the constructor, on the caller's thread;
+  // nothing here or below reads it.
   Renderer stateless(config_.render);
   FrameContext stateless_ctx;
-  GsTgConfig fast_config = config_.render;
-  fast_config.pipeline = PipelineMode::kSortless;
-  fast_config.temporal = TemporalMode::kOff;
-  Renderer fast(fast_config);
+  Renderer fast(fast_config_);
   FrameContext fast_ctx;
 
   for (;;) {

@@ -115,8 +115,10 @@ struct ServiceConfig {
 
   ServiceConfig();
 
-  /// Fills every zero knob from its environment override / default and
-  /// validates; throws std::invalid_argument on inconsistent values.
+  /// Fills every zero knob from its environment override / default,
+  /// applies the GSTG_* mode knobs to `render` (resolve_from_env) and
+  /// validates; throws std::invalid_argument (ConfigError for a malformed
+  /// variable) on inconsistent values.
   [[nodiscard]] ServiceConfig resolved() const;
 };
 
@@ -188,6 +190,7 @@ class RenderService {
                             Renderer& fast, FrameContext& fast_ctx);
 
   ServiceConfig config_;
+  GsTgConfig fast_config_;  ///< the fast tier's renderer config, resolved once
   SceneCache cache_;
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   // workers: request queued / session freed / stopping

@@ -57,7 +57,7 @@ FrameWorkload build_gstg_workload(const GaussianCloud& cloud, const Camera& came
     w.bgm[g].entries = n;
 
     // Bitmask test count: candidate AABB window clipped to the group, the
-    // exact quantity generate_bitmasks evaluates.
+    // exact quantity generate_bitmasks_into evaluates.
     const int gx = static_cast<int>(g) % group_grid.cells_x;
     const int gy = static_cast<int>(g) / group_grid.cells_x;
     const int tx_lo = gx * r, ty_lo = gy * r;

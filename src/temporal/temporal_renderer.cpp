@@ -30,14 +30,7 @@ void prepare_scratch(TemporalScratch& scratch, std::size_t workers, std::size_t 
 
 }  // namespace
 
-TemporalRenderer::TemporalRenderer(const GsTgConfig& config) : config_(config) {
-  config_.temporal = temporal_mode_from_env(config.temporal);
-  config_.binning = binning_mode_from_env(config.binning);
-  config_.pipeline = pipeline_mode_from_env(config.pipeline);
-  config_.validate();
-  telemetry::ensure_started_from_env();
-  if (config_.trace) telemetry::ensure_collecting();
-}
+TemporalRenderer::TemporalRenderer(const GsTgConfig& config) : renderer_(config) {}
 
 void TemporalRenderer::invalidate() {
   cache_.valid = false;
@@ -48,70 +41,29 @@ void TemporalRenderer::invalidate() {
 void TemporalRenderer::render(const GaussianCloud& cloud, const Camera& camera,
                               FrameContext& ctx) {
   GSTG_SPAN("frame");
-  ctx.times = {};
-  ctx.counters = {};
-  ctx.quality = {};
   Timer timer;
-
-  {
-    // The non-sort stages are exactly the persistent renderer's: same
-    // functions, same scratch reuse, same counters.
-    GSTG_SPAN("preprocess");
-    preprocess_into(cloud, camera, config_.render_config(), ctx.counters, ctx.splats,
-                    ctx.preprocess);
-  }
-  ctx.frame.config = config_;
-  ctx.frame.tile_grid = CellGrid::over_image(camera.width(), camera.height(), config_.tile_size);
-  ctx.frame.group_grid =
-      CellGrid::over_image(camera.width(), camera.height(), config_.group_size);
-  {
-    GSTG_SPAN("binning");
-    bin_splats_into(ctx.splats, ctx.frame.group_grid, config_.group_boundary, config_.threads,
-                    ctx.counters, ctx.frame.group_bins, ctx.binning, config_.binning);
-  }
-  ctx.times.preprocess_ms = timer.lap_ms();
-
-  {
-    GSTG_SPAN("bitmask");
-    generate_bitmasks_into(ctx.splats, ctx.frame.group_bins, ctx.frame.tile_grid, config_,
-                           ctx.counters, ctx.frame.masks);
-  }
-  ctx.times.bitmask_ms = timer.lap_ms();
-
-  if (config_.pipeline != PipelineMode::kExact) {
-    // Sortless bypasses the group-sort cache cleanly: nothing sorts, so
-    // there is no order to snapshot, reuse, or audit — the cache is never
-    // touched and every TemporalStats field stays zero (frames excepted).
-    last_ = {};
-    last_.frames = 1;
-    total_.merge(last_);
-    finish_sortless_stages(config_, camera, ctx, timer);
-    return;
-  }
+  renderer_.begin_frame(cloud, camera, ctx, timer);
 
   // Group ordering: reuse the cached cross-frame order where provably
   // valid, sort the rest; then snapshot the (now sorted) lists for the next
-  // frame.
+  // frame. The sortless pipelines bypass the cache cleanly: nothing sorts,
+  // so there is no order to snapshot, reuse, or audit — the cache is never
+  // touched and every TemporalStats field stays zero (frames excepted).
   last_ = {};
-  {
-    GSTG_SPAN("temporal_sort");
-    temporal_sort(ctx.splats, ctx);
-  }
-  if (config_.temporal != TemporalMode::kOff) {
-    GSTG_SPAN("snapshot_cache");
-    snapshot_cache(ctx.frame, ctx.splats, cloud.size());
+  if (config().pipeline == PipelineMode::kExact) {
+    {
+      GSTG_SPAN("temporal_sort");
+      temporal_sort(ctx.splats, ctx);
+    }
+    if (config().temporal != TemporalMode::kOff) {
+      GSTG_SPAN("snapshot_cache");
+      snapshot_cache(ctx.frame, ctx.splats, cloud.size());
+    }
   }
   last_.frames = 1;
   total_.merge(last_);
-  ctx.times.sort_ms = timer.lap_ms();
 
-  {
-    GSTG_SPAN("raster");
-    ctx.image.resize(camera.width(), camera.height());
-    rasterize_grouped(ctx.frame, ctx.splats, ctx.image, config_.threads, ctx.counters,
-                      &ctx.raster);
-  }
-  ctx.times.raster_ms = timer.lap_ms();
+  renderer_.end_frame(camera, ctx, timer);
 }
 
 void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, FrameContext& ctx) {
@@ -123,15 +75,14 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
   // the bound on ProjectedSplat::index the stamp/entry maps are sized to.
   const std::size_t cloud_size = ctx.counters.input_gaussians;
 
-  const bool warm = config_.temporal != TemporalMode::kOff && cache_.valid &&
+  const bool warm = config().temporal != TemporalMode::kOff && cache_.valid &&
                     cache_.cells_x == grid.cells_x && cache_.cells_y == grid.cells_y &&
                     cache_.cloud_size == cloud_size;
 
   if (!warm) {
     // Cold frame (or kOff): the plain per-frame group sort, plus the group
     // census so reuse rates have their denominator from frame 0 on.
-    sort_groups(bins, masks, splats, config_.threads, ctx.counters, config_.sort_algo,
-                &ctx.sort);
+    renderer_.order_groups(ctx);
     for (std::size_t g = 0; g < groups; ++g) {
       const std::size_t n = bins.offsets[g + 1] - bins.offsets[g];
       if (n == 0) continue;
@@ -151,9 +102,9 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
   for (const ProjectedSplat& splat : splats) max_index = std::max(max_index, splat.index);
   const int key_bits = depth_index_key_bits(max_index);
   const int index_bits = key_bits - 32;
-  const bool verify = config_.temporal == TemporalMode::kVerify;
+  const bool verify = config().temporal == TemporalMode::kVerify;
 
-  const std::size_t workers = planned_worker_count(groups, config_.threads);
+  const std::size_t workers = planned_worker_count(groups, config().threads);
   prepare_scratch(scratch_, workers, cloud_size);
 
   parallel_for_chunks(0, groups, [&](std::size_t lo, std::size_t hi, std::size_t worker) {
@@ -230,7 +181,7 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
       }
       if (!order_ok || stayers == 0) {
         sort_group_entries(bins.splat_ids.data() + begin, masks.data() + begin, n, splats,
-                           config_.sort_algo, key_bits, index_bits, ws.sort);
+                           config().sort_algo, key_bits, index_bits, ws.sort);
         ++ws.stats.groups_resorted;
         ws.stats.pairs_sorted += n;
         continue;
@@ -255,10 +206,10 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
         // joiner sort goes through the throwaway scratch — kVerify's
         // sort_pairs/volume match a plain per-frame run exactly.
         sort_group_entries(ws.joiner_ids.data(), ws.joiner_masks.data(), joiners, splats,
-                           config_.sort_algo, key_bits, index_bits, ws.aux);
+                           config().sort_algo, key_bits, index_bits, ws.aux);
       } else {
         sort_group_entries(ws.joiner_ids.data(), ws.joiner_masks.data(), joiners, splats,
-                           config_.sort_algo, key_bits, index_bits, ws.sort);
+                           config().sort_algo, key_bits, index_bits, ws.sort);
         ws.sort.pairs += stayers;  // sort_pairs counts all entries, sorted or reused
       }
 
@@ -305,7 +256,7 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
 
       if (verify) {
         sort_group_entries(ws.verify_ids.data(), ws.verify_masks.data(), n, splats,
-                           config_.sort_algo, key_bits, index_bits, ws.sort);
+                           config().sort_algo, key_bits, index_bits, ws.sort);
         const bool identical = std::equal(ws.verify_ids.begin(), ws.verify_ids.begin() + n,
                                           bins.splat_ids.begin() + begin) &&
                                std::equal(ws.verify_masks.begin(), ws.verify_masks.begin() + n,
@@ -326,7 +277,7 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
       ws.stats.pairs_reused += stayers;
       ws.stats.pairs_sorted += joiners;
     }
-  }, config_.threads);
+  }, config().threads);
 
   // Deterministic merges, worker order fixed (same contract as sort_groups).
   for (std::size_t w = 0; w < workers; ++w) {
@@ -346,7 +297,7 @@ void TemporalRenderer::snapshot_cache(const GroupedFrame& frame,
     for (std::size_t e = lo; e < hi; ++e) {
       cache_.sorted_cloud_ids[e] = splats[bins.splat_ids[e]].index;
     }
-  }, config_.threads);
+  }, config().threads);
   cache_.cells_x = frame.group_grid.cells_x;
   cache_.cells_y = frame.group_grid.cells_y;
   cache_.cloud_size = cloud_size;

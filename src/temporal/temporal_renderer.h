@@ -21,7 +21,8 @@
 //
 // TemporalMode::kVerify audits that argument at runtime: every reused order
 // is re-sorted and compared bit-for-bit (mismatches are counted and the
-// sorted result wins). kOff degenerates to Renderer::render.
+// sorted result wins). kOff degenerates to Renderer::render. Every stage
+// other than the ordering is Renderer::begin_frame / end_frame itself.
 #pragma once
 
 #include <cstdint>
@@ -86,12 +87,13 @@ struct TemporalScratch {
 /// pipeline with temporal kVerify is rejected by GsTgConfig::validate().
 class TemporalRenderer {
  public:
-  /// Validates the configuration and resolves the temporal mode: the
-  /// GSTG_TEMPORAL environment override wins over config.temporal.
+  /// Validates and captures the configuration as given; the environment is
+  /// not consulted (process edges apply the GSTG_* mode knobs beforehand
+  /// with resolve_from_env, common/runconfig.h).
   explicit TemporalRenderer(const GsTgConfig& config);
 
-  [[nodiscard]] const GsTgConfig& config() const { return config_; }
-  [[nodiscard]] TemporalMode mode() const { return config_.temporal; }
+  [[nodiscard]] const GsTgConfig& config() const { return renderer_.config(); }
+  [[nodiscard]] TemporalMode mode() const { return config().temporal; }
 
   /// Renders one frame into `ctx` (same contract as Renderer::render) and
   /// updates the cache, last_frame() and total() statistics.
@@ -111,7 +113,7 @@ class TemporalRenderer {
   void snapshot_cache(const GroupedFrame& frame, std::span<const ProjectedSplat> splats,
                       std::size_t cloud_size);
 
-  GsTgConfig config_;
+  Renderer renderer_;  ///< the shared frame stages around the ordering step
   GroupSortCache cache_;
   TemporalScratch scratch_;
   TemporalStats last_;

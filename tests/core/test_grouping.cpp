@@ -156,8 +156,9 @@ TEST(SortGroups, MasksTravelWithTheirSplats) {
   // Recompute masks from scratch for the *sorted* bins: each entry's mask
   // must match a fresh mask computed for its splat.
   RenderCounters scratch;
-  const auto fresh = generate_bitmasks(data.splats, data.frame.group_bins, data.frame.tile_grid,
-                                       config, scratch);
+  std::vector<TileMask> fresh;
+  generate_bitmasks_into(data.splats, data.frame.group_bins, data.frame.tile_grid, config,
+                         scratch, fresh);
   ASSERT_EQ(fresh.size(), data.frame.masks.size());
   for (std::size_t e = 0; e < fresh.size(); ++e) {
     EXPECT_EQ(fresh[e], data.frame.masks[e]) << "entry " << e;
@@ -202,7 +203,7 @@ TEST(Grouping, GroupPairsFarFewerThanTilePairs) {
 
 TEST(Grouping, AdversarialFootprintsSurviveGroupingAndBitmasks) {
   // Degenerate splats through the group-granularity callers of the
-  // candidate-cell math: identify_groups and generate_bitmasks must not
+  // candidate-cell math: identify_groups and generate_bitmasks_into must not
   // perform unclamped float→int casts (UBSan) and must agree between flat
   // and hierarchical group binning.
   constexpr float nan = std::numeric_limits<float>::quiet_NaN();
@@ -241,8 +242,8 @@ TEST(Grouping, AdversarialFootprintsSurviveGroupingAndBitmasks) {
   // Bitmask generation walks candidate_cells per entry; the huge-rho splat
   // must cover every tile of every group it reached.
   RenderCounters mc;
-  const std::vector<TileMask> masks =
-      generate_bitmasks(splats, flat, tile_grid, config, mc);
+  std::vector<TileMask> masks;
+  generate_bitmasks_into(splats, flat, tile_grid, config, mc, masks);
   ASSERT_EQ(masks.size(), flat.splat_ids.size());
   for (std::size_t e = 0; e < masks.size(); ++e) {
     if (flat.splat_ids[e] == 0) {

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "core/pipeline.h"
@@ -177,6 +178,43 @@ TEST(RenderBatch, EmptyCameraListIsFine) {
   const BatchRenderResult result = render_batch(cloud, {}, config);
   EXPECT_TRUE(result.images.empty());
   EXPECT_EQ(result.total.sort_pairs, 0u);
+}
+
+TEST(Renderer, BuildGsTgFrameMatchesRenderProducts) {
+  // build_gstg_frame runs the renderer's own stages up to raster, so its
+  // products equal the FrameContext's after a full render bit-for-bit.
+  const GaussianCloud cloud = make_random_cloud(900, 23);
+  const Camera camera = make_camera();
+  GsTgConfig config;
+  config.threads = 2;
+  const GsTgFrameData data = build_gstg_frame(cloud, camera, config);
+  const Renderer renderer(config);
+  FrameContext ctx;
+  renderer.render(cloud, camera, ctx);
+
+  ASSERT_EQ(data.splats.size(), ctx.splats.size());
+  EXPECT_EQ(std::memcmp(data.splats.data(), ctx.splats.data(),
+                        data.splats.size() * sizeof(ProjectedSplat)),
+            0);
+  const BinnedSplats& bins = data.frame.group_bins;
+  EXPECT_EQ(bins.grid.cells_x, ctx.frame.group_bins.grid.cells_x);
+  EXPECT_EQ(bins.grid.cells_y, ctx.frame.group_bins.grid.cells_y);
+  EXPECT_EQ(bins.offsets, ctx.frame.group_bins.offsets);
+  EXPECT_EQ(bins.splat_ids, ctx.frame.group_bins.splat_ids);
+  EXPECT_EQ(data.frame.masks, ctx.frame.masks);
+  EXPECT_EQ(data.frame.tile_grid.cells_x, ctx.frame.tile_grid.cells_x);
+  EXPECT_EQ(data.frame.tile_grid.cells_y, ctx.frame.tile_grid.cells_y);
+
+  // Counters match up to raster, which build_gstg_frame never runs.
+  RenderCounters pre_raster = ctx.counters;
+  pre_raster.alpha_computations = 0;
+  pre_raster.blend_ops = 0;
+  pre_raster.early_exit_pixels = 0;
+  pre_raster.pixel_list_work = 0;
+  pre_raster.total_pixels = 0;
+  pre_raster.filter_checks = 0;
+  EXPECT_EQ(std::memcmp(&pre_raster, &data.counters, sizeof(RenderCounters)), 0);
+  EXPECT_GT(data.counters.sort_pairs, 0u);
 }
 
 TEST(GroupSort, RadixMatchesComparisonOnScene) {

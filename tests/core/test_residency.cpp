@@ -167,20 +167,6 @@ TEST(Residency, SteadyStateStreamedRenderAllocatesNothing) {
   EXPECT_EQ(after - before, 0u) << "steady-state compressed render allocated";
 }
 
-TEST(Residency, EnvOverrideSelectsTheMode) {
-  ASSERT_EQ(setenv("GSTG_RESIDENCY", "float32", 1), 0);
-  EXPECT_EQ(residency_mode_from_env(ResidencyMode::kCompressed), ResidencyMode::kFloat32);
-  ASSERT_EQ(setenv("GSTG_RESIDENCY", "verify", 1), 0);
-  EXPECT_EQ(residency_mode_from_env(ResidencyMode::kCompressed), ResidencyMode::kVerify);
-  ASSERT_EQ(setenv("GSTG_RESIDENCY", "compressed", 1), 0);
-  EXPECT_EQ(residency_mode_from_env(ResidencyMode::kFloat32), ResidencyMode::kCompressed);
-  // Unknown values are ignored (with a one-time warning), unset falls back.
-  ASSERT_EQ(setenv("GSTG_RESIDENCY", "bogus", 1), 0);
-  EXPECT_EQ(residency_mode_from_env(ResidencyMode::kVerify), ResidencyMode::kVerify);
-  ASSERT_EQ(unsetenv("GSTG_RESIDENCY"), 0);
-  EXPECT_EQ(residency_mode_from_env(ResidencyMode::kFloat32), ResidencyMode::kFloat32);
-}
-
 TEST(Residency, ResidencyErrorIsATypedRuntimeError) {
   const ResidencyError error("streamed decode diverged");
   EXPECT_STREQ(error.what(), "residency: streamed decode diverged");

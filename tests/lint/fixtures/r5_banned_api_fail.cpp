@@ -1,5 +1,6 @@
-// gstg-lint fixture: R5 must flag naked lock()/unlock(), rand(), and
-// std::function in hot scope (fixture mode applies the union of scopes).
+// gstg-lint fixture: R5 must flag naked lock()/unlock(), rand(),
+// std::function in hot scope, and a mode-knob env read in library scope
+// (fixture mode applies the union of scopes).
 #include <cstdlib>
 #include <functional>
 #include <mutex>
@@ -14,5 +15,7 @@ int unsafe_sample(const std::function<int()>& pick) {
   g_mutex.unlock();
   return value;
 }
+
+const char* pipeline_override() { return std::getenv("GSTG_PIPELINE"); }
 
 }  // namespace fixture

@@ -189,26 +189,6 @@ TEST(Sortless, BenchScenesMeetCommittedFloor) {
   }
 }
 
-TEST(Sortless, EnvOverrideSelectsPipeline) {
-  const GaussianCloud cloud = make_random_cloud(300, 9);
-  const Camera camera = make_camera(96, 64);
-
-  ASSERT_EQ(setenv("GSTG_PIPELINE", "sortless", 1), 0);
-  GsTgConfig config;  // kExact; the environment must win
-  const Renderer overridden(config);
-  unsetenv("GSTG_PIPELINE");
-  EXPECT_EQ(overridden.config().pipeline, PipelineMode::kSortless);
-  FrameContext ctx;
-  overridden.render(cloud, camera, ctx);
-  EXPECT_EQ(ctx.counters.sort_pairs, 0u);
-
-  // Unknown values keep the configured mode (one-time warning on stderr).
-  ASSERT_EQ(setenv("GSTG_PIPELINE", "definitely-not-a-mode", 1), 0);
-  const Renderer kept(config);
-  unsetenv("GSTG_PIPELINE");
-  EXPECT_EQ(kept.config().pipeline, PipelineMode::kExact);
-}
-
 TEST(Sortless, TemporalVerifyCombinationIsRejected) {
   for (const PipelineMode pipeline : {PipelineMode::kSortless, PipelineMode::kVerify}) {
     GsTgConfig config;

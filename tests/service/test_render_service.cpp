@@ -15,6 +15,7 @@
 #include <fstream>
 #include <limits>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -413,6 +414,37 @@ TEST(RenderService, ServiceEnvKnobsRejectMalformedValues) {
   ASSERT_EQ(setenv("GSTG_SERVICE_QUEUE", "8", 1), 0);
   EXPECT_EQ(ServiceConfig{}.resolved().queue_capacity, 8u);
   ASSERT_EQ(unsetenv("GSTG_SERVICE_QUEUE"), 0);
+}
+
+TEST(RenderService, ModeKnobsResolveAtConstruction) {
+  // GSTG_TEMPORAL is set only while the service is constructed: sessions
+  // created later on worker threads must still run the mode resolved then.
+  const ServiceConfig config = small_service_config();  // temporal kReuse
+  std::unique_ptr<RenderService> service;
+  {
+    testutil::EnvGuard temporal("GSTG_TEMPORAL");
+    temporal.set("verify");
+    service = std::make_unique<RenderService>(config, fixed_cloud_loader());
+  }
+  EXPECT_EQ(service->config().render.temporal, TemporalMode::kVerify);
+
+  const GaussianCloud cloud = fixed_cloud_loader()("scene");
+  const Camera camera = make_camera(128, 96);
+  GsTgConfig oneshot_config = config.render;
+  oneshot_config.temporal = TemporalMode::kOff;
+  const RenderResult oneshot = render_gstg(cloud, camera, oneshot_config);
+  for (int frame = 0; frame < 3; ++frame) {
+    RenderResponse response = service->submit(RenderRequest{"scene", camera, 9}).get();
+    ASSERT_TRUE(response.ok()) << response.error;
+    EXPECT_EQ(max_abs_diff(oneshot.image, response.image), 0.0f) << "frame " << frame;
+    if (frame == 0) continue;
+    // kVerify re-sorts every reused group, so its sort work matches a full
+    // per-frame sort; kReuse would report less.
+    EXPECT_GT(response.temporal.pairs_reused, 0u) << "frame " << frame;
+    EXPECT_DOUBLE_EQ(response.counters.sort_comparison_volume,
+                     oneshot.counters.sort_comparison_volume)
+        << "frame " << frame;
+  }
 }
 
 TEST(ServiceStatus, NamesAreStable) {

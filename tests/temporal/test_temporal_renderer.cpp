@@ -9,8 +9,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "core/pipeline.h"
+#include "render/pipeline.h"
 #include "scene/scene.h"
 #include "temporal/camera_path.h"
 #include "test_helpers.h"
@@ -255,13 +257,59 @@ TEST(TemporalRenderer, OffModeMatchesThePlainRendererExactly) {
                    ctx.counters.sort_comparison_volume);
 }
 
-TEST(TemporalRenderer, EnvOverrideSelectsTheMode) {
-  ASSERT_EQ(setenv("GSTG_TEMPORAL", "verify", 1), 0);
-  const TemporalRenderer overridden(temporal_config(TemporalMode::kOff));
-  EXPECT_EQ(overridden.mode(), TemporalMode::kVerify);
-  ASSERT_EQ(unsetenv("GSTG_TEMPORAL"), 0);
-  const TemporalRenderer plain(temporal_config(TemporalMode::kOff));
-  EXPECT_EQ(plain.mode(), TemporalMode::kOff);
+/// Images and counters of one frame through each library entry point,
+/// every one built from a default config.
+struct DefaultConfigFrames {
+  Framebuffer gstg{1, 1};
+  Framebuffer temporal{1, 1};
+  Framebuffer baseline{1, 1};
+  RenderCounters gstg_counters;
+  RenderCounters temporal_counters;
+  RenderCounters baseline_counters;
+};
+
+DefaultConfigFrames render_default_configs(const GaussianCloud& cloud, const Camera& camera) {
+  DefaultConfigFrames out;
+  FrameContext ctx;
+  const Renderer renderer{GsTgConfig{}};
+  renderer.render(cloud, camera, ctx);
+  out.gstg = ctx.image;
+  out.gstg_counters = ctx.counters;
+  TemporalRenderer temporal{GsTgConfig{}};
+  temporal.render(cloud, camera, ctx);
+  out.temporal = ctx.image;
+  out.temporal_counters = ctx.counters;
+  const RenderResult baseline = render_baseline(cloud, camera, RenderConfig{});
+  out.baseline = baseline.image;
+  out.baseline_counters = baseline.counters;
+  return out;
+}
+
+TEST(LibraryEnv, ModeKnobsDoNotReachTheRenderers) {
+  // The library renders the config it is given: only process edges apply
+  // GSTG_* mode knobs (resolve_from_env), so a lossy pipeline and an
+  // audited binning in the environment change nothing here.
+  const GaussianCloud cloud = make_random_cloud(700, 43);
+  const Camera camera = make_camera();
+  const DefaultConfigFrames plain = render_default_configs(cloud, camera);
+
+  testutil::EnvGuard pipeline("GSTG_PIPELINE");
+  testutil::EnvGuard binning("GSTG_BINNING");
+  pipeline.set("sortless");
+  binning.set("verify");
+  const DefaultConfigFrames with_env = render_default_configs(cloud, camera);
+
+  EXPECT_TRUE(images_identical(plain.gstg, with_env.gstg));
+  EXPECT_TRUE(images_identical(plain.temporal, with_env.temporal));
+  EXPECT_TRUE(images_identical(plain.baseline, with_env.baseline));
+  for (const auto& [a, b] : {std::pair{plain.gstg_counters, with_env.gstg_counters},
+                             std::pair{plain.temporal_counters, with_env.temporal_counters},
+                             std::pair{plain.baseline_counters, with_env.baseline_counters}}) {
+    EXPECT_TRUE(counters_equal(a, b));
+    EXPECT_EQ(a.boundary_tests, b.boundary_tests);
+    EXPECT_EQ(a.coarse_pairs, b.coarse_pairs);
+  }
+  EXPECT_GT(with_env.gstg_counters.sort_pairs, 0u);  // still the exact pipeline
 }
 
 TEST(TemporalRenderer, SteadyStateAllocatesNothing) {

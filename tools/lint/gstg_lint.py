@@ -38,7 +38,12 @@ input, under the right sanitizer (see docs/ARCHITECTURE.md, "Static analysis
                                rand()/srand() in src/service or the hot TUs
                                (src/render, src/core, common/parallel.h);
                                no std::function in the hot TUs (type-erased
-                               calls have no place in render kernels).
+                               calls have no place in render kernels); no
+                               resolve_from_env / mode_from_env call and no
+                               GSTG_BINNING/PIPELINE/RESIDENCY/TEMPORAL
+                               literal in src/render, src/core or
+                               src/temporal (the library renders the config
+                               it is given; process edges resolve the knobs).
 
 Engines:
   * syntax (always available) — a self-contained C++ tokenizer/scanner; the
@@ -86,6 +91,10 @@ R2_EXEMPT_FILES = ("src/geometry/clamped_cast.h",)
 R5_SERVICE_DIRS = ("src/service",)
 R5_HOT_DIRS = ("src/render", "src/core")
 R5_HOT_FILES = ("src/common/parallel.h",)
+# R5 library scope: the mode knobs are resolved once at the process edge
+# (examples, RenderService), never in the middle of a render.
+R5_LIBRARY_DIRS = ("src/render", "src/core", "src/temporal")
+R5_MODE_KNOBS = frozenset(("GSTG_BINNING", "GSTG_PIPELINE", "GSTG_RESIDENCY", "GSTG_TEMPORAL"))
 
 CPP_KEYWORDS = frozenset(
     """alignas alignof asm auto bool break case catch char class co_await co_return co_yield
@@ -738,27 +747,38 @@ R5_COMMON = [
 R5_HOT_ONLY = [
     (re.compile(r"\bstd\s*::\s*function\b"), "std::function in a hot TU (type erasure allocates; use a template parameter)"),
 ]
+R5_LIBRARY_ONLY = [
+    (re.compile(r"\b(?:resolve_from_env|mode_from_env)\s*\("),
+     "mode-knob resolution inside the library; resolve GSTG_* mode knobs at the process edge"),
+]
 
 
 def check_r5(files, findings, fixture_mode):
     for sf in files:
         service = any(sf.rel.startswith(d) for d in R5_SERVICE_DIRS)
         hot = any(sf.rel.startswith(d) for d in R5_HOT_DIRS) or sf.rel in R5_HOT_FILES
+        library = any(sf.rel.startswith(d) for d in R5_LIBRARY_DIRS)
         if fixture_mode:
-            service = hot = True
-        if not (service or hot):
+            service = hot = library = True
+        if not (service or hot or library):
             continue
-        patterns = list(R5_COMMON) + (R5_HOT_ONLY if hot else [])
-        for pat, what in patterns:
-            for m in pat.finditer(sf.clean):
-                line = sf.line_of(m.start())
-                sup = sf.allow_at("R5", line)
-                if sup:
-                    sup.used = True
-                    if not sup.justification:
-                        findings.append(Finding("R5", sf.rel, line, "suppression without justification"))
-                    continue
-                findings.append(Finding("R5", sf.rel, line, what))
+        hits = []
+        if service or hot:
+            patterns = list(R5_COMMON) + (R5_HOT_ONLY if hot else [])
+            hits += [(m.start(), what) for pat, what in patterns for m in pat.finditer(sf.clean)]
+        if library:
+            hits += [(m.start(), what) for pat, what in R5_LIBRARY_ONLY for m in pat.finditer(sf.clean)]
+            hits += [(off, f'"{content}" read inside the library; resolve it at the process edge')
+                     for off, content in sf.literals if content in R5_MODE_KNOBS]
+        for off, what in hits:
+            line = sf.line_of(off)
+            sup = sf.allow_at("R5", line)
+            if sup:
+                sup.used = True
+                if not sup.justification:
+                    findings.append(Finding("R5", sf.rel, line, "suppression without justification"))
+                continue
+            findings.append(Finding("R5", sf.rel, line, what))
 
 
 def collect_files(repo_root, build_dir, explicit_paths):
