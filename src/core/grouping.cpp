@@ -1,7 +1,9 @@
 #include "core/grouping.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -63,7 +65,8 @@ void generate_bitmasks_into(std::span<const ProjectedSplat> splats,
           }
         } else {
           const Ellipse footprint = s.footprint();
-          const Obb obb = Obb::from_ellipse(footprint);
+          const Obb obb =
+              config.mask_boundary == Boundary::kObb ? Obb::from_ellipse(footprint) : Obb{};
           for (int ty = y0; ty < y1; ++ty) {
             for (int tx = x0; tx < x1; ++tx) {
               const Rect rect = tile_rect(tx, ty, tile_grid.cell_size, tile_grid.image_width,
@@ -159,16 +162,84 @@ void sort_groups(BinnedSplats& group_bins, std::vector<TileMask>& masks,
 
 namespace {
 
+/// Tile-major expansion of the group lists (the RM's AND-filter, done by
+/// mask bits): rs.tile_ids[rs.tile_offsets[t] ..) lists, in group-list
+/// order, the splats of tile t's group whose bitmask has t's bit set —
+/// exactly the entries the per-tile filter `masks[e] & location` keeps.
+/// One pass per group counts (countr_zero over each mask), a prefix sum
+/// sizes the lists, and a second pass per group scatters. Both passes run
+/// in parallel over groups without atomics: each tile belongs to exactly
+/// one group. Bits of tiles clipped off the grid's right or bottom edge
+/// are ignored, as the per-tile filter never queried them. Returns the
+/// filter_checks count — Σ over tiles of their group's list length.
+std::size_t expand_tile_lists(const GroupedFrame& frame, std::size_t threads,
+                              RasterScratch& rs) {
+  GSTG_SPAN("raster_expand");
+  const CellGrid& tile_grid = frame.tile_grid;
+  const CellGrid& group_grid = frame.group_grid;
+  const BinnedSplats& bins = frame.group_bins;
+  const int r = frame.config.tiles_per_side();
+  const std::size_t groups = static_cast<std::size_t>(group_grid.cell_count());
+
+  // Calls visit(entry, tile) for every in-grid set mask bit of every entry
+  // of groups [lo, hi), in entry order, and returns those groups' share of
+  // filter_checks (in-grid tiles × list length).
+  const auto for_each_entry_tile = [&](std::size_t lo, std::size_t hi, auto&& visit) {
+    std::array<std::uint32_t, 64> tile_of_bit{};
+    std::size_t group_checks = 0;
+    for (std::size_t g = lo; g < hi; ++g) {
+      const int gx = static_cast<int>(g) % group_grid.cells_x;
+      const int gy = static_cast<int>(g) / group_grid.cells_x;
+      const int w = std::min(r, tile_grid.cells_x - gx * r);
+      const int h = std::min(r, tile_grid.cells_y - gy * r);
+      TileMask valid = 0;
+      for (int ly = 0; ly < h; ++ly) {
+        for (int lx = 0; lx < w; ++lx) {
+          const int bit = mask_bit_index(lx, ly, r);
+          tile_of_bit[static_cast<std::size_t>(bit)] =
+              static_cast<std::uint32_t>(tile_grid.cell_index(gx * r + lx, gy * r + ly));
+          valid |= TileMask{1} << bit;
+        }
+      }
+      const std::uint32_t begin = bins.offsets[g], end = bins.offsets[g + 1];
+      group_checks += static_cast<std::size_t>(std::popcount(valid)) * (end - begin);
+      for (std::uint32_t e = begin; e < end; ++e) {
+        for (TileMask m = frame.masks[e] & valid; m != 0; m &= m - 1) {
+          visit(e, tile_of_bit[static_cast<std::size_t>(std::countr_zero(m))]);
+        }
+      }
+    }
+    return group_checks;
+  };
+
+  rs.tile_counts.assign(static_cast<std::size_t>(tile_grid.cell_count()), 0);
+  std::atomic<std::size_t> checks{0};
+  parallel_for_chunks(0, groups, [&](std::size_t lo, std::size_t hi, std::size_t) {
+    checks.fetch_add(
+        for_each_entry_tile(lo, hi, [&](std::uint32_t, std::uint32_t t) { ++rs.tile_counts[t]; }),
+        std::memory_order_relaxed);
+  }, threads);
+
+  const std::uint32_t total = csr_offsets_from_counts(rs.tile_counts, rs.tile_offsets);
+  rs.tile_ids.resize(total);
+  std::copy_n(rs.tile_offsets.begin(), rs.tile_counts.size(), rs.tile_counts.begin());
+
+  parallel_for_chunks(0, groups, [&](std::size_t lo, std::size_t hi, std::size_t) {
+    for_each_entry_tile(lo, hi, [&](std::uint32_t e, std::uint32_t t) {
+      rs.tile_ids[rs.tile_counts[t]++] = bins.splat_ids[e];
+    });
+  }, threads);
+  return checks.load();
+}
+
 /// Shared tile loop of the exact and sortless grouped rasterizers: the
-/// bitmask AND-filter per tile, then `raster_tile(worker, filtered, x0, y0,
-/// x1, y1)` — the only stage the two paths differ in.
+/// mask-indexed tile lists, then `raster_tile(worker, list, x0, y0, x1,
+/// y1)` per tile — the only stage the two paths differ in.
 template <typename TileFn>
-void rasterize_grouped_impl(const GroupedFrame& frame, Framebuffer& fb, std::size_t threads,
+void rasterize_grouped_impl(const GroupedFrame& frame, std::size_t threads,
                             RenderCounters& counters, RasterScratch* scratch,
                             TileFn&& raster_tile) {
   const CellGrid& tile_grid = frame.tile_grid;
-  const CellGrid& group_grid = frame.group_grid;
-  const int r = frame.config.tiles_per_side();
   const std::size_t tiles = static_cast<std::size_t>(tile_grid.cell_count());
 
   // Per-worker reusable buffers sized from the exact worker count. The
@@ -178,47 +249,29 @@ void rasterize_grouped_impl(const GroupedFrame& frame, Framebuffer& fb, std::siz
   RasterScratch& rs = scratch != nullptr ? *scratch : local_scratch;
   if (rs.workers.size() < workers) rs.workers.resize(workers);
 
-  struct WorkerStats {
-    TileRasterStats raster;
-    std::size_t filter_checks = 0;
-  };
-  std::atomic<std::size_t> alpha{0}, blends{0}, exits{0}, list_work{0}, pixels{0}, checks{0};
+  counters.filter_checks += expand_tile_lists(frame, threads, rs);
 
+  std::atomic<std::size_t> alpha{0}, blends{0}, exits{0}, list_work{0}, pixels{0};
   parallel_for_chunks(0, tiles, [&](std::size_t lo, std::size_t hi, std::size_t worker) {
     GSTG_SPAN("raster_chunk");
-    WorkerStats local;
+    TileRasterStats local;
     RasterScratch::Worker& wk = rs.workers[worker];
-    std::vector<std::uint32_t>& filtered = wk.filtered;
     for (std::size_t t = lo; t < hi; ++t) {
       const int tx = static_cast<int>(t) % tile_grid.cells_x;
       const int ty = static_cast<int>(t) / tile_grid.cells_x;
-      const int gx = tx / r;
-      const int gy = ty / r;
-      const std::size_t g = static_cast<std::size_t>(group_grid.cell_index(gx, gy));
-      const TileMask location =
-          TileMask{1} << mask_bit_index(tx - gx * r, ty - gy * r, r);
-
-      // The RM's filter: AND each entry's bitmask with the tile location.
-      filtered.clear();
-      const std::uint32_t begin = frame.group_bins.offsets[g];
-      const std::uint32_t end = frame.group_bins.offsets[g + 1];
-      local.filter_checks += end - begin;
-      for (std::uint32_t e = begin; e < end; ++e) {
-        if (frame.masks[e] & location) filtered.push_back(frame.group_bins.splat_ids[e]);
-      }
-
+      const std::span<const std::uint32_t> list(rs.tile_ids.data() + rs.tile_offsets[t],
+                                                rs.tile_offsets[t + 1] - rs.tile_offsets[t]);
       const int x0 = tx * tile_grid.cell_size;
       const int y0 = ty * tile_grid.cell_size;
       const int x1 = std::min(x0 + tile_grid.cell_size, tile_grid.image_width);
       const int y1 = std::min(y0 + tile_grid.cell_size, tile_grid.image_height);
-      local.raster.accumulate(raster_tile(wk, filtered, x0, y0, x1, y1));
+      local.accumulate(raster_tile(wk, list, x0, y0, x1, y1));
     }
-    alpha.fetch_add(local.raster.alpha_computations, std::memory_order_relaxed);
-    blends.fetch_add(local.raster.blend_ops, std::memory_order_relaxed);
-    exits.fetch_add(local.raster.early_exit_pixels, std::memory_order_relaxed);
-    list_work.fetch_add(local.raster.pixel_list_work, std::memory_order_relaxed);
-    pixels.fetch_add(local.raster.pixels, std::memory_order_relaxed);
-    checks.fetch_add(local.filter_checks, std::memory_order_relaxed);
+    alpha.fetch_add(local.alpha_computations, std::memory_order_relaxed);
+    blends.fetch_add(local.blend_ops, std::memory_order_relaxed);
+    exits.fetch_add(local.early_exit_pixels, std::memory_order_relaxed);
+    list_work.fetch_add(local.pixel_list_work, std::memory_order_relaxed);
+    pixels.fetch_add(local.pixels, std::memory_order_relaxed);
   }, threads);
 
   counters.alpha_computations += alpha.load();
@@ -226,7 +279,6 @@ void rasterize_grouped_impl(const GroupedFrame& frame, Framebuffer& fb, std::siz
   counters.early_exit_pixels += exits.load();
   counters.pixel_list_work += list_work.load();
   counters.total_pixels += pixels.load();
-  counters.filter_checks += checks.load();
 }
 
 }  // namespace
@@ -238,7 +290,7 @@ void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat
   // dispatches on a concrete backend (no env reads in the hot loop).
   const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend),
                         frame.config.simd.exp_mode};
-  rasterize_grouped_impl(frame, fb, threads, counters, scratch,
+  rasterize_grouped_impl(frame, threads, counters, scratch,
                          [&](RasterScratch::Worker& wk, std::span<const std::uint32_t> filtered,
                              int x0, int y0, int x1, int y1) {
                            return rasterize_tile(splats, filtered, x0, y0, x1, y1, fb, wk.tile,
@@ -252,7 +304,7 @@ void rasterize_grouped_sortless(const GroupedFrame& frame,
                                 RasterScratch* scratch) {
   const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend),
                         frame.config.simd.exp_mode};
-  rasterize_grouped_impl(frame, fb, threads, counters, scratch,
+  rasterize_grouped_impl(frame, threads, counters, scratch,
                          [&](RasterScratch::Worker& wk, std::span<const std::uint32_t> filtered,
                              int x0, int y0, int x1, int y1) {
                            return rasterize_tile_sortless(splats, filtered, x0, y0, x1, y1, fb,

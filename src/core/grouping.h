@@ -72,23 +72,31 @@ void sort_group_entries(std::uint32_t* ids, TileMask* masks, std::size_t n,
                         std::span<const ProjectedSplat> splats, SortAlgo algo, int key_bits,
                         int index_bits, SortWorkerScratch& ws);
 
-/// Reusable per-worker rasterization buffers for rasterize_grouped and
-/// rasterize_grouped_sortless: the bitmask-filtered id list plus the
-/// blending scratch of both tile kernels (exact and sortless).
+/// Reusable rasterization buffers for rasterize_grouped and
+/// rasterize_grouped_sortless: the tile-major lists expanded from the
+/// group lists by mask bits, plus the per-worker blending scratch of both
+/// tile kernels (exact and sortless).
 struct RasterScratch {
   struct Worker {
-    std::vector<std::uint32_t> filtered;
     TileRasterScratch tile;
     SortlessRasterScratch sortless;
   };
   std::vector<Worker> workers;
+  std::vector<std::uint32_t> tile_counts;   ///< per tile: list length, then scatter cursors
+  std::vector<std::uint32_t> tile_offsets;  ///< tile-list CSR offsets (tiles + 1)
+  std::vector<std::uint32_t> tile_ids;      ///< per tile: splat ids in group-list order
 };
 
-/// Tile-wise rasterization over group-sorted lists: per tile, gathers the
-/// entries whose bitmask covers the tile (the RM's AND-filter) and runs the
-/// shared tile rasterizer. Updates counters.filter_checks plus the usual
-/// rasterization counters. `scratch` reuses per-worker buffers across
-/// frames (nullptr = self-contained call).
+/// Tile-wise rasterization over group-sorted lists: each tile gets the
+/// entries of its group whose bitmask has the tile's bit set (the RM's
+/// AND-filter), in group-list order, and runs the shared tile rasterizer.
+/// The lists come from one pass per group that appends every entry to the
+/// tiles named by its set mask bits, so an entry costs its popcount rather
+/// than one check per tile of the group. counters.filter_checks still
+/// reports the hardware filter's work — Σ over tiles of the group's list
+/// length — alongside the usual rasterization counters. `scratch` reuses
+/// the lists and per-worker buffers across frames (nullptr = self-contained
+/// call).
 GSTG_HOT_NOALLOC
 void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat> splats,
                        Framebuffer& fb, std::size_t threads, RenderCounters& counters,

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 
 #include "common/runconfig.h"
 #include "geometry/intersect.h"
@@ -96,21 +95,23 @@ struct GsTgConfig {
   [[nodiscard]] int tiles_per_side() const { return group_size / tile_size; }
   [[nodiscard]] int tiles_per_group() const { return tiles_per_side() * tiles_per_side(); }
 
+  /// Throws the typed ConfigError (a std::invalid_argument) for a rejected
+  /// geometry or mode combination.
   void validate() const {
     if (tile_size <= 0 || group_size <= 0) {
-      throw std::invalid_argument("GsTgConfig: sizes must be positive");
+      throw ConfigError("GsTgConfig: sizes must be positive");
     }
     if (group_size % tile_size != 0) {
-      throw std::invalid_argument(
+      throw ConfigError(
           "GsTgConfig: group_size must be a multiple of tile_size (tile alignment)");
     }
     if (tiles_per_group() > 64) {
-      throw std::invalid_argument("GsTgConfig: more than 64 tiles per group (bitmask overflow)");
+      throw ConfigError("GsTgConfig: more than 64 tiles per group (bitmask overflow)");
     }
     if (pipeline != PipelineMode::kExact && temporal == TemporalMode::kVerify) {
       // Temporal kVerify audits that a reused group order is still the exact
       // sorted order — meaningless when the sortless pipeline never sorts.
-      throw std::invalid_argument(
+      throw ConfigError(
           "GsTgConfig: temporal kVerify requires the exact pipeline "
           "(sortless blending never sorts, so there is no order to audit)");
     }

@@ -8,6 +8,7 @@
 // rule R2 (tools/lint/gstg_lint.py) enforces this at analysis time.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 
 namespace gstg {
@@ -32,6 +33,18 @@ inline int clamped_cell_floor(float v, float cell_size, int cells, int bias) {
   if (!(c > 0.0f)) return 0;
   if (c >= static_cast<float>(cells)) return cells;
   return static_cast<int>(c);
+}
+
+/// clamped_cell_floor for an already-scaled coordinate t = v / cell_size,
+/// without libm: truncation is floor on t >= 0, and every t < 0 (NaN and
+/// -inf included) lands on 0 either way — floor(t) <= -1 there, so
+/// floor(t) + bias <= 0. The bias is added in int, so the result equals
+/// clamped_cell_floor whenever cells <= 2^24 (beyond that the reference's
+/// float sum floor(t) + 1 starts to round).
+inline int clamped_cell_trunc(float t, int cells, int bias) {
+  if (!(t >= 0.0f)) return 0;
+  if (t >= static_cast<float>(cells)) return cells;
+  return std::min(static_cast<int>(t) + bias, cells);
 }
 
 }  // namespace gstg

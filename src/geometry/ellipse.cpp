@@ -18,19 +18,6 @@ Ellipse Ellipse::from_cov(Vec2 center, Sym2 cov, float rho) {
   return e;
 }
 
-Rect Ellipse::aabb() const {
-  // Extent of {d : d^T cov^{-1} d <= rho} along x is sqrt(rho * cov.xx):
-  // substituting d = cov^{1/2} u with |u|^2 <= rho maximises d.x at
-  // sqrt(rho) * ||row_x(cov^{1/2})|| = sqrt(rho * cov.xx). A negative
-  // product collapses to zero extent; a NaN product (degenerate rho or
-  // covariance) must stay NaN so the candidate-cell math can reject the
-  // box — std::max(0, NaN) would silently fabricate a point box.
-  const auto extent = [](float v) { return v > 0.0f ? std::sqrt(v) : (v <= 0.0f ? 0.0f : v); };
-  const float ex = extent(rho * cov.xx);
-  const float ey = extent(rho * cov.yy);
-  return Rect{center.x - ex, center.y - ey, center.x + ex, center.y + ey};
-}
-
 Vec2 Ellipse::semi_axes() const {
   const Eigen2 eig = eigen_decompose(cov);
   return {std::sqrt(std::max(0.0f, rho * eig.lambda1)),

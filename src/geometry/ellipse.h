@@ -6,6 +6,8 @@
 // rho = 2 ln(255 sigma) used by FlashGS is also provided.
 #pragma once
 
+#include <cmath>
+
 #include "geometry/rect.h"
 #include "geometry/sym2.h"
 #include "geometry/vec.h"
@@ -38,8 +40,20 @@ struct Ellipse {
   [[nodiscard]] bool contains(Vec2 p) const { return mahalanobis_sq(p) <= rho; }
 
   /// Tight axis-aligned bounding rectangle: half-extent along x is
-  /// sqrt(rho * cov.xx), along y sqrt(rho * cov.yy).
-  [[nodiscard]] Rect aabb() const;
+  /// sqrt(rho * cov.xx), along y sqrt(rho * cov.yy). Inline: binning and
+  /// bitmask generation derive every candidate range from it.
+  [[nodiscard]] Rect aabb() const {
+    // Extent of {d : d^T cov^{-1} d <= rho} along x is sqrt(rho * cov.xx):
+    // substituting d = cov^{1/2} u with |u|^2 <= rho maximises d.x at
+    // sqrt(rho) * ||row_x(cov^{1/2})|| = sqrt(rho * cov.xx). A negative
+    // product collapses to zero extent; a NaN product (degenerate rho or
+    // covariance) must stay NaN so the candidate-cell math can reject the
+    // box — std::max(0, NaN) would silently fabricate a point box.
+    const auto extent = [](float v) { return v > 0.0f ? std::sqrt(v) : (v <= 0.0f ? 0.0f : v); };
+    const float ex = extent(rho * cov.xx);
+    const float ey = extent(rho * cov.yy);
+    return Rect{center.x - ex, center.y - ey, center.x + ex, center.y + ey};
+  }
 
   /// Semi-axis lengths (major, minor) = sqrt(rho * eigenvalues).
   [[nodiscard]] Vec2 semi_axes() const;

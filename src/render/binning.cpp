@@ -7,25 +7,10 @@
 #include <stdexcept>
 
 #include "common/parallel.h"
-#include "geometry/clamped_cast.h"
 
 namespace gstg {
 
 namespace {
-
-/// Candidate range of an AABB, clipped to the grid. Any NaN coordinate
-/// makes the validity comparison fail and yields the empty range; an
-/// infinite but ordered box (huge rho) covers the full grid.
-TileRange range_of_box(const Rect& box, const CellGrid& grid) {
-  if (!(box.x0 <= box.x1) || !(box.y0 <= box.y1)) return {};
-  const float cs = static_cast<float>(grid.cell_size);
-  TileRange r;
-  r.tx0 = clamped_cell_floor(box.x0, cs, grid.cells_x, 0);
-  r.ty0 = clamped_cell_floor(box.y0, cs, grid.cells_y, 0);
-  r.tx1 = clamped_cell_floor(box.x1, cs, grid.cells_x, 1);
-  r.ty1 = clamped_cell_floor(box.y1, cs, grid.cells_y, 1);
-  return r;
-}
 
 /// Per-splat footprint classification of the hierarchical pass.
 enum SplatKind : std::uint8_t {
@@ -60,54 +45,80 @@ TileRange coarse_range_of(const TileRange& fine, int factor) {
   return r;
 }
 
+/// Flat binning. Pass 1 is the only geometry: each worker runs
+/// for_each_hit_cell once over its contiguous chunk of splats, appending
+/// every hit's cell id to its own record list and counting it per
+/// (worker, cell) — no atomics, each test counted once. The cell totals
+/// give the CSR offsets; the per-(worker, cell) counts become cursors laid
+/// out worker by worker inside each cell. Pass 2 replays the records into
+/// the CSR under the same chunking, so every cell lists its splats in
+/// ascending splat order whatever the thread count.
 void flat_bin_splats_into(std::span<const ProjectedSplat> splats, const CellGrid& grid,
                           Boundary boundary, std::size_t threads, RenderCounters& counters,
-                          BinnedSplats& out, std::vector<std::uint32_t>& cell_counts) {
+                          BinnedSplats& out, BinningScratch& scratch) {
   out.grid = grid;
   const std::size_t cells = static_cast<std::size_t>(grid.cell_count());
+  const std::size_t workers = planned_worker_count(splats.size(), threads);
+  if (scratch.hit_cells.size() < workers) scratch.hit_cells.resize(workers);
+  scratch.worker_counts.assign(workers * cells, 0);
+  scratch.splat_hits.resize(splats.size());
+  std::atomic<std::size_t> tests{0}, multi{0};
 
-  // Pass 1: per-cell counts (and counter updates). The reusable plain-int
-  // scratch array is raced on through std::atomic_ref.
-  cell_counts.assign(cells, 0);
-  std::atomic<std::size_t> tests{0}, pairs{0}, multi{0};
-
-  parallel_for_chunks(0, splats.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
-    std::size_t local_tests = 0, local_pairs = 0, local_multi = 0;
+  parallel_for_chunks(0, splats.size(), [&](std::size_t lo, std::size_t hi, std::size_t w) {
+    std::vector<std::uint32_t>& records = scratch.hit_cells[w];
+    std::uint32_t* counts = scratch.worker_counts.data() + w * cells;
+    records.clear();
+    std::size_t local_tests = 0, local_multi = 0;
     for (std::size_t i = lo; i < hi; ++i) {
-      std::size_t hits = 0;
+      const std::size_t before = records.size();
       local_tests += for_each_hit_cell(splats[i], grid, boundary, [&](int cell) {
-        std::atomic_ref<std::uint32_t>(cell_counts[static_cast<std::size_t>(cell)])
-            .fetch_add(1, std::memory_order_relaxed);
-        ++hits;
+        records.push_back(static_cast<std::uint32_t>(cell));
+        ++counts[cell];
       });
-      local_pairs += hits;
+      // A splat hits each cell at most once, so its count fits the int
+      // cell-index space; the record list itself stops at the CSR limit
+      // (the prefix sum below would reject the total anyway).
+      const std::size_t hits = records.size() - before;
+      if (records.size() > std::numeric_limits<std::uint32_t>::max()) {
+        throw BinningError("flat pass recorded more than 2^32 (splat, cell) pairs");
+      }
+      scratch.splat_hits[i] = static_cast<std::uint32_t>(hits);
       if (hits >= 2) ++local_multi;
     }
     tests.fetch_add(local_tests, std::memory_order_relaxed);
-    pairs.fetch_add(local_pairs, std::memory_order_relaxed);
     multi.fetch_add(local_multi, std::memory_order_relaxed);
   }, threads);
 
   counters.boundary_tests += tests.load();
-  counters.tile_pairs += pairs.load();
   counters.splats_multi_tile += multi.load();
 
-  // Overflow-checked prefix sum into CSR offsets; the count array then
-  // becomes the scatter cursors (initialised to each cell's base offset).
-  const std::uint32_t total = csr_offsets_from_counts(cell_counts, out.offsets);
+  // Overflow-checked prefix sum of the cell totals, then per-(worker, cell)
+  // cursors: worker w's hits in cell c start after those of workers < w.
+  scratch.cell_counts.assign(cells, 0);
+  for (std::size_t w = 0; w < workers; ++w) {
+    const std::uint32_t* counts = scratch.worker_counts.data() + w * cells;
+    for (std::size_t c = 0; c < cells; ++c) scratch.cell_counts[c] += counts[c];
+  }
+  const std::uint32_t total = csr_offsets_from_counts(scratch.cell_counts, out.offsets);
+  counters.tile_pairs += total;
   out.splat_ids.resize(total);
-  std::copy_n(out.offsets.begin(), cells, cell_counts.begin());
+  for (std::size_t c = 0; c < cells; ++c) {
+    std::uint32_t cursor = out.offsets[c];
+    for (std::size_t w = 0; w < workers; ++w) {
+      std::uint32_t& slot = scratch.worker_counts[w * cells + c];
+      const std::uint32_t n = slot;
+      slot = cursor;
+      cursor += n;
+    }
+  }
 
-  // Pass 2: scatter. Within-cell order is nondeterministic here, but every
-  // consumer sorts by (depth, index) first, so results are deterministic.
-  parallel_for_chunks(0, splats.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
+  parallel_for_chunks(0, splats.size(), [&](std::size_t lo, std::size_t hi, std::size_t w) {
+    const std::uint32_t* record = scratch.hit_cells[w].data();
+    std::uint32_t* cursors = scratch.worker_counts.data() + w * cells;
     for (std::size_t i = lo; i < hi; ++i) {
-      for_each_hit_cell(splats[i], grid, boundary, [&](int cell) {
-        const std::uint32_t slot =
-            std::atomic_ref<std::uint32_t>(cell_counts[static_cast<std::size_t>(cell)])
-                .fetch_add(1, std::memory_order_relaxed);
-        out.splat_ids[slot] = static_cast<std::uint32_t>(i);
-      });
+      for (std::uint32_t k = scratch.splat_hits[i]; k != 0; --k) {
+        out.splat_ids[cursors[*record++]++] = static_cast<std::uint32_t>(i);
+      }
     }
   }, threads);
 }
@@ -177,7 +188,7 @@ std::size_t for_each_coarse_cell(const ProjectedSplat& splat, const TileRange& c
   }
   std::size_t tests = 0;
   const Ellipse footprint = splat.footprint();
-  const Obb obb = Obb::from_ellipse(footprint);
+  const Obb obb = boundary == Boundary::kObb ? Obb::from_ellipse(footprint) : Obb{};
   for (int cy = cr.ty0; cy < cr.ty1; ++cy) {
     for (int cx = cr.tx0; cx < cr.tx1; ++cx) {
       const Rect rect =
@@ -219,7 +230,7 @@ std::size_t expand_record(const ProjectedSplat& splat, const TileRange& fine_ran
   }
   std::size_t tests = 0;
   const Ellipse footprint = splat.footprint();
-  const Obb obb = Obb::from_ellipse(footprint);
+  const Obb obb = boundary == Boundary::kObb ? Obb::from_ellipse(footprint) : Obb{};
   for (int cy = y0; cy < y1; ++cy) {
     for (int cx = x0; cx < x1; ++cx) {
       const Rect rect = tile_rect(cx, cy, grid.cell_size, grid.image_width, grid.image_height);
@@ -252,7 +263,7 @@ void hierarchical_bin_splats_into(std::span<const ProjectedSplat> splats, const 
 
   scratch.fine_ranges.resize(splats.size());
   scratch.kinds.resize(splats.size());
-  scratch.fine_hits.assign(splats.size(), 0);
+  scratch.splat_hits.assign(splats.size(), 0);
   scratch.coarse_counts.assign(coarse_cells, 0);
   std::atomic<std::size_t> tests{0}, multi{0};
 
@@ -348,7 +359,7 @@ void hierarchical_bin_splats_into(std::span<const ProjectedSplat> splats, const 
                                        });
         }
         if (hits != 0) {
-          std::atomic_ref<std::uint32_t>(scratch.fine_hits[i])
+          std::atomic_ref<std::uint32_t>(scratch.splat_hits[i])
               .fetch_add(hits, std::memory_order_relaxed);
         }
       }
@@ -387,7 +398,7 @@ void hierarchical_bin_splats_into(std::span<const ProjectedSplat> splats, const 
   parallel_for_chunks(0, splats.size(), [&](std::size_t lo, std::size_t hi, std::size_t) {
     std::size_t local_multi = 0;
     for (std::size_t i = lo; i < hi; ++i) {
-      if (scratch.fine_hits[i] >= 2) ++local_multi;
+      if (scratch.splat_hits[i] >= 2) ++local_multi;
     }
     multi.fetch_add(local_multi, std::memory_order_relaxed);
   }, threads);
@@ -406,7 +417,7 @@ void verify_bin_splats_into(std::span<const ProjectedSplat> splats, const CellGr
   // hierarchical pass's counters exactly.
   RenderCounters reference_counters;
   flat_bin_splats_into(splats, grid, boundary, threads, reference_counters, scratch.reference,
-                       scratch.ref_counts);
+                       scratch);
 
   if (out.offsets != scratch.reference.offsets) {
     throw BinningError("verify: hierarchical CSR offsets differ from flat binning");
@@ -490,10 +501,6 @@ BinningMode resolve_binning_mode(BinningMode mode, const CellGrid& grid) {
                                                         : BinningMode::kFlat;
 }
 
-TileRange candidate_cells(const ProjectedSplat& splat, const CellGrid& grid) {
-  return range_of_box(splat.footprint().aabb(), grid);
-}
-
 BinnedSplats bin_splats(std::span<const ProjectedSplat> splats, const CellGrid& grid,
                         Boundary boundary, std::size_t threads, RenderCounters& counters,
                         BinningMode mode) {
@@ -508,7 +515,7 @@ void bin_splats_into(std::span<const ProjectedSplat> splats, const CellGrid& gri
                      BinnedSplats& out, BinningScratch& scratch, BinningMode mode) {
   switch (resolve_binning_mode(mode, grid)) {
     case BinningMode::kFlat:
-      flat_bin_splats_into(splats, grid, boundary, threads, counters, out, scratch.cell_counts);
+      flat_bin_splats_into(splats, grid, boundary, threads, counters, out, scratch);
       return;
     case BinningMode::kHierarchical:
       hierarchical_bin_splats_into(splats, grid, boundary, threads, counters, out, scratch);

@@ -7,6 +7,10 @@
 //
 //   kFlat          one boundary test per fine-cell candidate of the
 //                  footprint's AABB range — the original single-level pass.
+//                  The count pass records each hit and the scatter pass
+//                  replays the records, so no test runs twice, and every
+//                  cell lists its splats in ascending splat order for any
+//                  thread count.
 //   kHierarchical  coarse cells (kCoarseCellFactor fine cells on a side)
 //                  are binned first; only the non-empty coarse cells are
 //                  expanded into the fine CSR lists. Splats covering at
@@ -26,7 +30,8 @@
 //                  coarse cells with no atomics — each fine cell belongs
 //                  to exactly one coarse cell — so the pass scales with
 //                  the non-empty portion of the grid rather than with
-//                  candidates × resolution.
+//                  candidates × resolution. Its coarse scatter leaves the
+//                  order within a cell unspecified.
 //   kAuto          hierarchical when the grid has at least
 //                  kAutoHierarchicalMinCells cells, flat otherwise (tiny
 //                  grids cannot amortise the coarse pass).
@@ -50,6 +55,7 @@
 
 #include "common/annotations.h"
 #include "common/runconfig.h"
+#include "geometry/clamped_cast.h"
 #include "render/types.h"
 
 namespace gstg {
@@ -112,24 +118,27 @@ struct BinnedSplats {
 };
 
 /// Reusable binning scratch, owned by the persistent renderer's
-/// FrameContext. cell_counts doubles as the flat pass's scatter cursors
-/// (accessed through std::atomic_ref); the remaining vectors carry the
-/// hierarchical pass's coarse CSR, per-splat classification, and the
-/// kVerify reference run. All grow to the workload once and are then
-/// reused allocation-free.
+/// FrameContext. The flat pass keeps one list of hit cell ids per worker
+/// (in splat order) plus per-(worker, cell) counts that become the scatter
+/// cursors, so its scatter replays recorded hits instead of re-testing
+/// them; the remaining vectors carry the hierarchical pass's coarse CSR and
+/// per-splat classification, and the kVerify reference run. All grow to the
+/// workload once and are then reused allocation-free.
 struct BinningScratch {
-  std::vector<std::uint32_t> cell_counts;
-  // Hierarchical two-level state (untouched by the flat pass):
+  std::vector<std::uint32_t> cell_counts;    ///< per cell: hits, then (hierarchical) cursors
+  std::vector<std::uint32_t> splat_hits;     ///< per splat: cells hit
+  // Flat pass state:
+  std::vector<std::vector<std::uint32_t>> hit_cells;  ///< per worker: cell id of every hit
+  std::vector<std::uint32_t> worker_counts;  ///< per (worker, cell): hits, then cursors
+  // Hierarchical two-level state:
   std::vector<std::uint32_t> coarse_counts;   ///< per coarse cell, then cursors
   std::vector<std::uint32_t> coarse_offsets;  ///< coarse CSR offsets
   std::vector<std::uint32_t> coarse_ids;      ///< coarse CSR (splat ids)
   std::vector<std::uint8_t> coarse_flags;     ///< per coarse record: 1 = contained
   std::vector<TileRange> fine_ranges;         ///< per splat: clipped fine candidate range
   std::vector<std::uint8_t> kinds;            ///< per splat: footprint classification
-  std::vector<std::uint32_t> fine_hits;       ///< per splat: fine cells hit
   // kVerify state:
   BinnedSplats reference;                    ///< flat reference CSR
-  std::vector<std::uint32_t> ref_counts;     ///< reference run's count array
   std::vector<std::uint32_t> sorted_a, sorted_b;  ///< canonically sorted copies
 };
 
@@ -164,14 +173,45 @@ void bin_splats_into(std::span<const ProjectedSplat> splats, const CellGrid& gri
                      BinnedSplats& out, BinningScratch& scratch,
                      BinningMode mode = BinningMode::kFlat);
 
+/// Per-axis cell count up to which clamped_cell_trunc reproduces
+/// clamped_cell_floor exactly (geometry/clamped_cast.h).
+inline constexpr int kTruncExactCells = 1 << 24;
+
+/// Candidate range of an AABB, clipped to the grid. Any NaN coordinate
+/// makes the validity comparison fail and yields the empty range; an
+/// infinite but ordered box (huge rho) covers the full grid. For a
+/// power-of-two cell size, v * (1 / cs) is v / cs exactly (scaling by 2^-k
+/// is the same real value, correctly rounded), so the cell index is a
+/// clamped truncation with no division and no floorf; other cell sizes
+/// take clamped_cell_floor. Both paths give the same range for every box.
+inline TileRange range_of_box(const Rect& box, const CellGrid& grid) {
+  if (!(box.x0 <= box.x1) || !(box.y0 <= box.y1)) return {};
+  const int cs = grid.cell_size;
+  if ((cs & (cs - 1)) == 0 && grid.cells_x <= kTruncExactCells &&
+      grid.cells_y <= kTruncExactCells) {
+    const float inv = 1.0f / static_cast<float>(cs);
+    return TileRange{clamped_cell_trunc(box.x0 * inv, grid.cells_x, 0),
+                     clamped_cell_trunc(box.y0 * inv, grid.cells_y, 0),
+                     clamped_cell_trunc(box.x1 * inv, grid.cells_x, 1),
+                     clamped_cell_trunc(box.y1 * inv, grid.cells_y, 1)};
+  }
+  const float fcs = static_cast<float>(cs);
+  return TileRange{clamped_cell_floor(box.x0, fcs, grid.cells_x, 0),
+                   clamped_cell_floor(box.y0, fcs, grid.cells_y, 0),
+                   clamped_cell_floor(box.x1, fcs, grid.cells_x, 1),
+                   clamped_cell_floor(box.y1, fcs, grid.cells_y, 1)};
+}
+
 /// Cell range of the footprint's AABB clipped to the grid (exposed for the
 /// bitmask generator, which iterates the same candidates inside a group).
-/// The division and clamping happen in the float domain before any cast:
+/// The scaling and clamping happen in the float domain before any cast:
 /// degenerate splats (huge rho, non-finite mean/conic) yield the full grid
 /// or the empty range instead of undefined float→int conversions. A
 /// non-finite AABB that is not an honest [-inf, +inf] cover (any NaN
 /// coordinate) is rejected as empty.
-TileRange candidate_cells(const ProjectedSplat& splat, const CellGrid& grid);
+inline TileRange candidate_cells(const ProjectedSplat& splat, const CellGrid& grid) {
+  return range_of_box(splat.footprint().aabb(), grid);
+}
 
 /// Calls visit(cell_index) for every cell the splat's footprint intersects
 /// under `boundary`, enumerating candidates from the AABB range; returns the
@@ -198,7 +238,7 @@ std::size_t for_each_hit_cell(const ProjectedSplat& splat, const CellGrid& grid,
   }
 
   const Ellipse footprint = splat.footprint();
-  const Obb obb = Obb::from_ellipse(footprint);  // used by kObb only
+  const Obb obb = boundary == Boundary::kObb ? Obb::from_ellipse(footprint) : Obb{};
   for (int cy = range.ty0; cy < range.ty1; ++cy) {
     for (int cx = range.tx0; cx < range.tx1; ++cx) {
       const Rect rect = tile_rect(cx, cy, grid.cell_size, grid.image_width, grid.image_height);

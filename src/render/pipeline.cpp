@@ -10,7 +10,7 @@ namespace gstg {
 
 RenderResult render_baseline(const GaussianCloud& cloud, const Camera& camera,
                              const RenderConfig& config) {
-  RenderResult result{Framebuffer(camera.width(), camera.height()), {}, {}};
+  RenderResult result{Framebuffer(camera.width(), camera.height()), {}, {}, {}};
   Timer timer;
 
   // Preprocessing: feature computation + culling + tile identification.

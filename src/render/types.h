@@ -114,7 +114,11 @@ struct RenderCounters {
   std::size_t total_pixels = 0;
   // GS-TG-specific work counters (zero for the baseline pipeline):
   std::size_t bitmask_tests = 0;   ///< per-(splat, small-tile) boundary tests in bitmask gen
-  std::size_t filter_checks = 0;   ///< bitmask AND filter checks in tile rasterization
+  /// The hardware raster module's AND-filter count: Σ over tiles of the
+  /// tile's group list length (every entry is checked against every tile of
+  /// its group). The CPU raster builds its tile lists from mask bits instead
+  /// and computes this count arithmetically.
+  std::size_t filter_checks = 0;
 
   /// Fig. 5 metric: average number of intersected tiles per visible Gaussian.
   [[nodiscard]] double tiles_per_gaussian() const {

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "../test_helpers.h"
 #include "core/pipeline.h"
 #include "render/preprocess.h"
+#include "render/simd_kernels.h"
 #include "render/sort.h"
 
 namespace gstg {
@@ -40,6 +44,25 @@ TEST(GsTgConfig, ValidatesGeometry) {
   eight64.group_size = 64;
   EXPECT_NO_THROW(eight64.validate());
   EXPECT_EQ(eight64.tiles_per_group(), 64);
+}
+
+TEST(GsTgConfig, RejectedGeometryThrowsConfigError) {
+  const auto rejects = [](const char* what, auto&& edit) {
+    GsTgConfig c;
+    edit(c);
+    EXPECT_THROW(c.validate(), ConfigError) << what;
+  };
+  rejects("zero tile size", [](GsTgConfig& c) { c.tile_size = 0; });
+  rejects("negative group size", [](GsTgConfig& c) { c.group_size = -64; });
+  rejects("misaligned group", [](GsTgConfig& c) { c.group_size = 40; });
+  rejects("more than 64 tiles per group", [](GsTgConfig& c) {
+    c.tile_size = 8;
+    c.group_size = 128;
+  });
+  rejects("temporal verify without the exact pipeline", [](GsTgConfig& c) {
+    c.pipeline = PipelineMode::kSortless;
+    c.temporal = TemporalMode::kVerify;
+  });
 }
 
 TEST(GsTgConfig, LosslessGuaranteeMatrix) {
@@ -142,6 +165,103 @@ TEST(Bitmasks, NoBitsOutsideGroupWindow) {
       for (std::uint32_t e = data.frame.group_bins.offsets[g];
            e < data.frame.group_bins.offsets[g + 1]; ++e) {
         EXPECT_EQ(data.frame.masks[e] & ~legal, 0u);
+      }
+    }
+  }
+}
+
+/// The hardware raster module's per-tile AND-filter, written out: every
+/// entry of the tile's group is checked against the tile's location bit
+/// and the survivors, in group-list order, go to the tile kernel.
+struct AndFilterReference {
+  Framebuffer image;
+  RenderCounters counters;
+};
+
+AndFilterReference and_filter_reference(const GroupedFrame& frame,
+                                        std::span<const ProjectedSplat> splats, bool sortless) {
+  const CellGrid& tiles = frame.tile_grid;
+  const int r = frame.config.tiles_per_side();
+  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend),
+                        frame.config.simd.exp_mode};
+  AndFilterReference ref{Framebuffer(tiles.image_width, tiles.image_height), {}};
+  TileRasterScratch exact_scratch;
+  SortlessRasterScratch sortless_scratch;
+  TileRasterStats stats;
+  std::vector<std::uint32_t> filtered;
+  for (int ty = 0; ty < tiles.cells_y; ++ty) {
+    for (int tx = 0; tx < tiles.cells_x; ++tx) {
+      const int gx = tx / r, gy = ty / r;
+      const std::size_t g = static_cast<std::size_t>(frame.group_grid.cell_index(gx, gy));
+      const TileMask location = TileMask{1} << mask_bit_index(tx - gx * r, ty - gy * r, r);
+      filtered.clear();
+      for (std::uint32_t e = frame.group_bins.offsets[g]; e < frame.group_bins.offsets[g + 1];
+           ++e) {
+        ++ref.counters.filter_checks;
+        if (frame.masks[e] & location) filtered.push_back(frame.group_bins.splat_ids[e]);
+      }
+      const int x0 = tx * tiles.cell_size, y0 = ty * tiles.cell_size;
+      const int x1 = std::min(x0 + tiles.cell_size, tiles.image_width);
+      const int y1 = std::min(y0 + tiles.cell_size, tiles.image_height);
+      stats.accumulate(sortless ? rasterize_tile_sortless(splats, filtered, x0, y0, x1, y1,
+                                                          ref.image, sortless_scratch, simd)
+                                : rasterize_tile(splats, filtered, x0, y0, x1, y1, ref.image,
+                                                 exact_scratch, simd));
+    }
+  }
+  ref.counters.alpha_computations = stats.alpha_computations;
+  ref.counters.blend_ops = stats.blend_ops;
+  ref.counters.early_exit_pixels = stats.early_exit_pixels;
+  ref.counters.pixel_list_work = stats.pixel_list_work;
+  ref.counters.total_pixels = stats.pixels;
+  return ref;
+}
+
+TEST(RasterizeGrouped, MaskIndexedListsMatchPerTileAndFilter) {
+  const GaussianCloud cloud = testutil::make_random_cloud(900, 71);
+  struct Geometry {
+    int width, height, tile_size, group_size;
+  };
+  // Image sizes that are not group multiples clip the right and bottom
+  // groups. The 8/16 geometry has more than 256 groups and tiles, so the
+  // 4-thread runs split both the expansion and the raster across workers;
+  // 8/64 fills all 64 mask bits.
+  for (const Geometry geo : {Geometry{270, 262, 8, 16}, Geometry{200, 150, 16, 64},
+                             Geometry{200, 150, 8, 64}}) {
+    const Camera cam = make_camera(geo.width, geo.height);
+    for (const bool sortless : {false, true}) {
+      for (const std::size_t threads : {1, 4}) {
+        GsTgConfig config;
+        config.tile_size = geo.tile_size;
+        config.group_size = geo.group_size;
+        config.threads = threads;
+        const GsTgFrameData data = build_gstg_frame(cloud, cam, config);
+        const AndFilterReference ref = and_filter_reference(data.frame, data.splats, sortless);
+
+        Framebuffer image(cam.width(), cam.height());
+        RenderCounters c;
+        RasterScratch scratch;
+        if (sortless) {
+          rasterize_grouped_sortless(data.frame, data.splats, image, threads, c, &scratch);
+        } else {
+          rasterize_grouped(data.frame, data.splats, image, threads, c, &scratch);
+        }
+        const std::string what = std::to_string(geo.tile_size) + "/" +
+                                 std::to_string(geo.group_size) +
+                                 (sortless ? " sortless" : " exact") + ", " +
+                                 std::to_string(threads) + " threads";
+        ASSERT_EQ(image.pixels().size(), ref.image.pixels().size());
+        EXPECT_EQ(std::memcmp(image.pixels().data(), ref.image.pixels().data(),
+                              image.pixels().size() * sizeof(Vec3)),
+                  0)
+            << what;
+        EXPECT_EQ(c.filter_checks, ref.counters.filter_checks) << what;
+        EXPECT_EQ(c.alpha_computations, ref.counters.alpha_computations) << what;
+        EXPECT_EQ(c.blend_ops, ref.counters.blend_ops) << what;
+        EXPECT_EQ(c.early_exit_pixels, ref.counters.early_exit_pixels) << what;
+        EXPECT_EQ(c.pixel_list_work, ref.counters.pixel_list_work) << what;
+        EXPECT_EQ(c.total_pixels, ref.counters.total_pixels) << what;
+        EXPECT_GT(c.blend_ops, 0u) << what;
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
 #include "../test_helpers.h"
@@ -133,21 +135,45 @@ TEST(BinSplats, DeterministicSetAcrossThreadCounts) {
   const GaussianCloud cloud = testutil::make_random_cloud(1000, 19);
   RenderCounters pc;
   const auto splats = preprocess(cloud, cam, RenderConfig{}, pc);
+  ASSERT_GE(splats.size(), 256u);  // enough splats for the passes to run in parallel
   const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), 16);
-  for (const BinningMode m : {BinningMode::kFlat, BinningMode::kHierarchical}) {
-    RenderCounters c1, c4;
-    const BinnedSplats b1 = bin_splats(splats, g, Boundary::kEllipse, 1, c1, m);
-    const BinnedSplats b4 = bin_splats(splats, g, Boundary::kEllipse, 4, c4, m);
-    EXPECT_EQ(c1.tile_pairs, c4.tile_pairs);
-    EXPECT_EQ(c1.boundary_tests, c4.boundary_tests);
-    EXPECT_EQ(c1.coarse_pairs, c4.coarse_pairs);
-    ASSERT_EQ(b1.offsets, b4.offsets);
-    // Per-cell sets equal (order within a cell may differ before sorting).
-    for (int c = 0; c < g.cell_count(); ++c) {
-      std::multiset<std::uint32_t> s1(b1.cell_list(c).begin(), b1.cell_list(c).end());
-      std::multiset<std::uint32_t> s4(b4.cell_list(c).begin(), b4.cell_list(c).end());
-      EXPECT_EQ(s1, s4);
-    }
+
+  // Flat: the identical CSR at every thread count, each cell in ascending
+  // splat order.
+  RenderCounters c1;
+  const BinnedSplats f1 = bin_splats(splats, g, Boundary::kEllipse, 1, c1, BinningMode::kFlat);
+  for (int c = 0; c < g.cell_count(); ++c) {
+    const auto list = f1.cell_list(c);
+    EXPECT_TRUE(std::adjacent_find(list.begin(), list.end(), std::greater_equal<>()) ==
+                list.end())
+        << "cell " << c << " is not in strictly ascending splat order";
+  }
+  for (const std::size_t threads : {2, 4}) {
+    RenderCounters ct;
+    const BinnedSplats ft =
+        bin_splats(splats, g, Boundary::kEllipse, threads, ct, BinningMode::kFlat);
+    EXPECT_EQ(ct.tile_pairs, c1.tile_pairs);
+    EXPECT_EQ(ct.boundary_tests, c1.boundary_tests);
+    EXPECT_EQ(ct.splats_multi_tile, c1.splats_multi_tile);
+    EXPECT_EQ(ft.offsets, f1.offsets) << threads << " threads";
+    EXPECT_EQ(ft.splat_ids, f1.splat_ids) << threads << " threads";
+  }
+
+  // Hierarchical: per-cell sets equal (its coarse scatter leaves the order
+  // within a cell unspecified before sorting).
+  RenderCounters h1c, h4c;
+  const BinnedSplats h1 =
+      bin_splats(splats, g, Boundary::kEllipse, 1, h1c, BinningMode::kHierarchical);
+  const BinnedSplats h4 =
+      bin_splats(splats, g, Boundary::kEllipse, 4, h4c, BinningMode::kHierarchical);
+  EXPECT_EQ(h1c.tile_pairs, h4c.tile_pairs);
+  EXPECT_EQ(h1c.boundary_tests, h4c.boundary_tests);
+  EXPECT_EQ(h1c.coarse_pairs, h4c.coarse_pairs);
+  ASSERT_EQ(h1.offsets, h4.offsets);
+  for (int c = 0; c < g.cell_count(); ++c) {
+    std::multiset<std::uint32_t> s1(h1.cell_list(c).begin(), h1.cell_list(c).end());
+    std::multiset<std::uint32_t> s4(h4.cell_list(c).begin(), h4.cell_list(c).end());
+    EXPECT_EQ(s1, s4);
   }
 }
 

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "../test_helpers.h"
@@ -139,6 +141,97 @@ TEST(CandidateCellsAdversarial, OneByOneCellGrid) {
   EXPECT_EQ(candidate_cells(make_splat({4, 4}, Sym2{1, 0, 1}), g).count(), 1);
   EXPECT_EQ(candidate_cells(make_splat({4, 4}, Sym2{1, 0, 1}, 1, 0, 1e30f), g).count(), 1);
   EXPECT_TRUE(candidate_cells(make_splat({kNaN, 4}, Sym2{1, 0, 1}), g).empty());
+}
+
+// --- power-of-two candidate ranges ---------------------------------------
+
+/// The candidate range through the libm path: Ellipse::aabb, then
+/// floor(v / cs) + bias clamped by clamped_cell_floor.
+TileRange floor_reference_range(const ProjectedSplat& s, const CellGrid& g) {
+  const Rect box = s.footprint().aabb();
+  if (!(box.x0 <= box.x1) || !(box.y0 <= box.y1)) return {};
+  const float cs = static_cast<float>(g.cell_size);
+  return TileRange{clamped_cell_floor(box.x0, cs, g.cells_x, 0),
+                   clamped_cell_floor(box.y0, cs, g.cells_y, 0),
+                   clamped_cell_floor(box.x1, cs, g.cells_x, 1),
+                   clamped_cell_floor(box.y1, cs, g.cells_y, 1)};
+}
+
+TEST(CandidateCellsPow2, TruncMatchesFloorOnEdgeValues) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float normal = std::numeric_limits<float>::min();
+  const float fmax = std::numeric_limits<float>::max();
+  const std::vector<float> fixed = {
+      0.0f, -0.0f, denorm, -denorm, normal / 2, -normal / 2, normal, -normal,
+      kNaN, -kNaN, kInf, -kInf, fmax, -fmax, 1e30f, -1e30f,
+      2147483648.0f, 2147483904.0f, 4294967296.0f, -2147483648.0f, -4294967296.0f,
+      16777216.0f, 16777218.0f, 0.5f, 0.999f, 1.0f, 1.5f, -1.0f};
+  std::mt19937 rng(5);
+  for (const int cs : {1, 2, 4, 8, 16, 64, 1024, 1 << 30}) {
+    const float fcs = static_cast<float>(cs);
+    const float inv = 1.0f / fcs;
+    for (const int cells : {1, 7, 100, 1 << 24}) {
+      std::vector<float> values = fixed;
+      // Exact multiples of the cell size and their float neighbours, up to
+      // and past the grid edge.
+      for (const long long k : {0LL, 1LL, 2LL, 3LL, 99LL, 100LL, 101LL,
+                                static_cast<long long>(cells) - 1, static_cast<long long>(cells),
+                                static_cast<long long>(cells) + 1}) {
+        const float m = static_cast<float>(k) * fcs;
+        values.insert(values.end(), {m, std::nextafter(m, kInf), std::nextafter(m, -kInf)});
+      }
+      // The open interval (-cs, 0).
+      values.insert(values.end(), {std::nextafter(-fcs, 0.0f), -0.5f * fcs, -0.25f * fcs,
+                                   std::nextafter(-0.0f, -1.0f)});
+      // Random bit patterns: every class of float, NaN payloads included.
+      for (int i = 0; i < 2000; ++i) {
+        values.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(rng())));
+      }
+      for (const int bias : {0, 1}) {
+        for (const float v : values) {
+          EXPECT_EQ(clamped_cell_trunc(v * inv, cells, bias),
+                    clamped_cell_floor(v, fcs, cells, bias))
+              << "v=" << v << " (bits " << std::bit_cast<std::uint32_t>(v) << ") cs=" << cs
+              << " cells=" << cells << " bias=" << bias;
+        }
+      }
+    }
+  }
+}
+
+TEST(CandidateCellsPow2, NonPowerOfTwoCellSizeTakesFloorFallback) {
+  // 1/24 is inexact: just below some multiple of 24 the scaled value rounds
+  // up onto the multiple, where truncation would land one cell too high.
+  const int cs = 24;
+  const int cells = 1 << 12;
+  float v = 0.0f;
+  for (int k = 1; k < cells && v == 0.0f; ++k) {
+    const float below = std::nextafter(static_cast<float>(k * cs), 0.0f);
+    if (clamped_cell_trunc(below * (1.0f / cs), cells, 0) !=
+        clamped_cell_floor(below, static_cast<float>(cs), cells, 0)) {
+      v = below;
+    }
+  }
+  ASSERT_NE(v, 0.0f) << "no value separates truncation from floor at cs=24";
+  const CellGrid g = CellGrid::over_image(cells * cs, 8, cs);
+  const ProjectedSplat point = make_splat({v, 4}, Sym2{0, 0, 0});  // zero-extent box at x = v
+  const TileRange r = candidate_cells(point, g);
+  EXPECT_EQ(r, floor_reference_range(point, g));
+  EXPECT_EQ(r.tx0, clamped_cell_floor(v, static_cast<float>(cs), g.cells_x, 0));
+}
+
+TEST(CandidateCellsPow2, AdversarialCorpusMatchesFloorReference) {
+  const auto corpus = adversarial_corpus();
+  // Power-of-two grids take the truncation path, 24 and 1x1 the fallback.
+  for (const CellGrid& g :
+       {CellGrid::over_image(128, 96, 16), CellGrid::over_image(128, 96, 1),
+        CellGrid::over_image(128, 96, 64), CellGrid::over_image(128, 96, 24),
+        CellGrid::over_image(8, 8, 16)}) {
+    for (const ProjectedSplat& s : corpus) {
+      EXPECT_EQ(candidate_cells(s, g), floor_reference_range(s, g))
+          << "splat " << s.index << " cell size " << g.cell_size;
+    }
+  }
 }
 
 // --- overflow guards ------------------------------------------------------
@@ -347,6 +440,35 @@ TEST(BinningScratchReuse, HierarchicalIsAllocationStableAcrossFrames) {
     EXPECT_EQ(out.offsets, first.offsets);
     EXPECT_EQ(out.splat_ids, first.splat_ids);
     EXPECT_EQ(c.tile_pairs, warm.tile_pairs);
+  }
+}
+
+TEST(BinningScratchReuse, FlatIsAllocationStableAcrossFrames) {
+  const Camera cam = make_camera();
+  const GaussianCloud cloud = testutil::make_random_cloud(800, 31);
+  RenderCounters pc;
+  const auto splats = preprocess(cloud, cam, RenderConfig{}, pc);
+  const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), 16);
+
+  BinnedSplats out;
+  BinningScratch scratch;
+  RenderCounters warm;
+  bin_splats_into(splats, g, Boundary::kEllipse, 1, warm, out, scratch, BinningMode::kFlat);
+  const BinnedSplats first = out;
+  ASSERT_EQ(scratch.hit_cells.size(), 1u);
+  const std::uint32_t* records = scratch.hit_cells[0].data();
+  const std::uint32_t* ids = out.splat_ids.data();
+  // Steady state: the hit records and the CSR keep their storage, and the
+  // results are reproduced exactly.
+  for (int frame = 0; frame < 3; ++frame) {
+    RenderCounters c;
+    bin_splats_into(splats, g, Boundary::kEllipse, 1, c, out, scratch, BinningMode::kFlat);
+    EXPECT_EQ(out.offsets, first.offsets);
+    EXPECT_EQ(out.splat_ids, first.splat_ids);
+    EXPECT_EQ(c.tile_pairs, warm.tile_pairs);
+    EXPECT_EQ(c.boundary_tests, warm.boundary_tests);
+    EXPECT_EQ(scratch.hit_cells[0].data(), records);
+    EXPECT_EQ(out.splat_ids.data(), ids);
   }
 }
 
