@@ -9,7 +9,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 
 namespace gstg {
 
@@ -24,24 +23,14 @@ inline int clamped_float_to_int(float v, int lo, int hi) {
   return static_cast<int>(v);
 }
 
-/// floor(v / cell_size) + bias, clamped into [0, cells] in the float
-/// domain. The float→int cast is UB outside int's range and a degenerate
-/// conic (huge rho) produces AABB coordinates far outside it, so the clamp
-/// must happen before the cast. NaN fails every comparison and lands on 0.
+/// floor(v / cell_size) + bias, clamped into [0, cells], for bias 0 or 1.
+/// The float→int cast is UB outside int's range and a degenerate conic
+/// (huge rho) produces AABB coordinates far outside it, so the clamp happens
+/// before the cast. No libm: truncation is floor on t >= 0, and every t < 0
+/// (NaN and -inf included) lands on 0 either way — floor(t) <= -1 there, so
+/// floor(t) + bias <= 0. The bias is added in int, after the clamp.
 inline int clamped_cell_floor(float v, float cell_size, int cells, int bias) {
-  const float c = std::floor(v / cell_size) + static_cast<float>(bias);
-  if (!(c > 0.0f)) return 0;
-  if (c >= static_cast<float>(cells)) return cells;
-  return static_cast<int>(c);
-}
-
-/// clamped_cell_floor for an already-scaled coordinate t = v / cell_size,
-/// without libm: truncation is floor on t >= 0, and every t < 0 (NaN and
-/// -inf included) lands on 0 either way — floor(t) <= -1 there, so
-/// floor(t) + bias <= 0. The bias is added in int, so the result equals
-/// clamped_cell_floor whenever cells <= 2^24 (beyond that the reference's
-/// float sum floor(t) + 1 starts to round).
-inline int clamped_cell_trunc(float t, int cells, int bias) {
+  const float t = v / cell_size;
   if (!(t >= 0.0f)) return 0;
   if (t >= static_cast<float>(cells)) return cells;
   return std::min(static_cast<int>(t) + bias, cells);

@@ -173,33 +173,16 @@ void bin_splats_into(std::span<const ProjectedSplat> splats, const CellGrid& gri
                      BinnedSplats& out, BinningScratch& scratch,
                      BinningMode mode = BinningMode::kFlat);
 
-/// Per-axis cell count up to which clamped_cell_trunc reproduces
-/// clamped_cell_floor exactly (geometry/clamped_cast.h).
-inline constexpr int kTruncExactCells = 1 << 24;
-
 /// Candidate range of an AABB, clipped to the grid. Any NaN coordinate
 /// makes the validity comparison fail and yields the empty range; an
-/// infinite but ordered box (huge rho) covers the full grid. For a
-/// power-of-two cell size, v * (1 / cs) is v / cs exactly (scaling by 2^-k
-/// is the same real value, correctly rounded), so the cell index is a
-/// clamped truncation with no division and no floorf; other cell sizes
-/// take clamped_cell_floor. Both paths give the same range for every box.
+/// infinite but ordered box (huge rho) covers the full grid.
 inline TileRange range_of_box(const Rect& box, const CellGrid& grid) {
   if (!(box.x0 <= box.x1) || !(box.y0 <= box.y1)) return {};
-  const int cs = grid.cell_size;
-  if ((cs & (cs - 1)) == 0 && grid.cells_x <= kTruncExactCells &&
-      grid.cells_y <= kTruncExactCells) {
-    const float inv = 1.0f / static_cast<float>(cs);
-    return TileRange{clamped_cell_trunc(box.x0 * inv, grid.cells_x, 0),
-                     clamped_cell_trunc(box.y0 * inv, grid.cells_y, 0),
-                     clamped_cell_trunc(box.x1 * inv, grid.cells_x, 1),
-                     clamped_cell_trunc(box.y1 * inv, grid.cells_y, 1)};
-  }
-  const float fcs = static_cast<float>(cs);
-  return TileRange{clamped_cell_floor(box.x0, fcs, grid.cells_x, 0),
-                   clamped_cell_floor(box.y0, fcs, grid.cells_y, 0),
-                   clamped_cell_floor(box.x1, fcs, grid.cells_x, 1),
-                   clamped_cell_floor(box.y1, fcs, grid.cells_y, 1)};
+  const float cs = static_cast<float>(grid.cell_size);
+  return TileRange{clamped_cell_floor(box.x0, cs, grid.cells_x, 0),
+                   clamped_cell_floor(box.y0, cs, grid.cells_y, 0),
+                   clamped_cell_floor(box.x1, cs, grid.cells_x, 1),
+                   clamped_cell_floor(box.y1, cs, grid.cells_y, 1)};
 }
 
 /// Cell range of the footprint's AABB clipped to the grid (exposed for the

@@ -143,21 +143,30 @@ TEST(CandidateCellsAdversarial, OneByOneCellGrid) {
   EXPECT_TRUE(candidate_cells(make_splat({kNaN, 4}, Sym2{1, 0, 1}), g).empty());
 }
 
-// --- power-of-two candidate ranges ---------------------------------------
+// --- libm-free cell indices -----------------------------------------------
+
+/// The libm formulation clamped_cell_floor replaces: floor(v / cs) + bias,
+/// clamped into [0, cells] in the float domain.
+int floor_reference_cell(float v, float cs, int cells, int bias) {
+  const float c = std::floor(v / cs) + static_cast<float>(bias);
+  if (!(c > 0.0f)) return 0;
+  if (c >= static_cast<float>(cells)) return cells;
+  return static_cast<int>(c);
+}
 
 /// The candidate range through the libm path: Ellipse::aabb, then
-/// floor(v / cs) + bias clamped by clamped_cell_floor.
+/// floor_reference_cell on each edge.
 TileRange floor_reference_range(const ProjectedSplat& s, const CellGrid& g) {
   const Rect box = s.footprint().aabb();
   if (!(box.x0 <= box.x1) || !(box.y0 <= box.y1)) return {};
   const float cs = static_cast<float>(g.cell_size);
-  return TileRange{clamped_cell_floor(box.x0, cs, g.cells_x, 0),
-                   clamped_cell_floor(box.y0, cs, g.cells_y, 0),
-                   clamped_cell_floor(box.x1, cs, g.cells_x, 1),
-                   clamped_cell_floor(box.y1, cs, g.cells_y, 1)};
+  return TileRange{floor_reference_cell(box.x0, cs, g.cells_x, 0),
+                   floor_reference_cell(box.y0, cs, g.cells_y, 0),
+                   floor_reference_cell(box.x1, cs, g.cells_x, 1),
+                   floor_reference_cell(box.y1, cs, g.cells_y, 1)};
 }
 
-TEST(CandidateCellsPow2, TruncMatchesFloorOnEdgeValues) {
+TEST(CandidateCellsNoLibm, CellFloorMatchesLibmOnEdgeValues) {
   const float denorm = std::numeric_limits<float>::denorm_min();
   const float normal = std::numeric_limits<float>::min();
   const float fmax = std::numeric_limits<float>::max();
@@ -167,9 +176,10 @@ TEST(CandidateCellsPow2, TruncMatchesFloorOnEdgeValues) {
       2147483648.0f, 2147483904.0f, 4294967296.0f, -2147483648.0f, -4294967296.0f,
       16777216.0f, 16777218.0f, 0.5f, 0.999f, 1.0f, 1.5f, -1.0f};
   std::mt19937 rng(5);
-  for (const int cs : {1, 2, 4, 8, 16, 64, 1024, 1 << 30}) {
+  // Power-of-two sizes and sizes whose reciprocal is inexact (3, 24, 1000).
+  for (const int cs : {1, 2, 3, 4, 8, 16, 24, 64, 1000, 1024, 1 << 30}) {
     const float fcs = static_cast<float>(cs);
-    const float inv = 1.0f / fcs;
+    // Up to 2^24 cells the reference's float sum floor(t) + 1 is exact.
     for (const int cells : {1, 7, 100, 1 << 24}) {
       std::vector<float> values = fixed;
       // Exact multiples of the cell size and their float neighbours, up to
@@ -189,8 +199,8 @@ TEST(CandidateCellsPow2, TruncMatchesFloorOnEdgeValues) {
       }
       for (const int bias : {0, 1}) {
         for (const float v : values) {
-          EXPECT_EQ(clamped_cell_trunc(v * inv, cells, bias),
-                    clamped_cell_floor(v, fcs, cells, bias))
+          EXPECT_EQ(clamped_cell_floor(v, fcs, cells, bias),
+                    floor_reference_cell(v, fcs, cells, bias))
               << "v=" << v << " (bits " << std::bit_cast<std::uint32_t>(v) << ") cs=" << cs
               << " cells=" << cells << " bias=" << bias;
         }
@@ -199,30 +209,8 @@ TEST(CandidateCellsPow2, TruncMatchesFloorOnEdgeValues) {
   }
 }
 
-TEST(CandidateCellsPow2, NonPowerOfTwoCellSizeTakesFloorFallback) {
-  // 1/24 is inexact: just below some multiple of 24 the scaled value rounds
-  // up onto the multiple, where truncation would land one cell too high.
-  const int cs = 24;
-  const int cells = 1 << 12;
-  float v = 0.0f;
-  for (int k = 1; k < cells && v == 0.0f; ++k) {
-    const float below = std::nextafter(static_cast<float>(k * cs), 0.0f);
-    if (clamped_cell_trunc(below * (1.0f / cs), cells, 0) !=
-        clamped_cell_floor(below, static_cast<float>(cs), cells, 0)) {
-      v = below;
-    }
-  }
-  ASSERT_NE(v, 0.0f) << "no value separates truncation from floor at cs=24";
-  const CellGrid g = CellGrid::over_image(cells * cs, 8, cs);
-  const ProjectedSplat point = make_splat({v, 4}, Sym2{0, 0, 0});  // zero-extent box at x = v
-  const TileRange r = candidate_cells(point, g);
-  EXPECT_EQ(r, floor_reference_range(point, g));
-  EXPECT_EQ(r.tx0, clamped_cell_floor(v, static_cast<float>(cs), g.cells_x, 0));
-}
-
-TEST(CandidateCellsPow2, AdversarialCorpusMatchesFloorReference) {
+TEST(CandidateCellsNoLibm, AdversarialCorpusMatchesFloorReference) {
   const auto corpus = adversarial_corpus();
-  // Power-of-two grids take the truncation path, 24 and 1x1 the fallback.
   for (const CellGrid& g :
        {CellGrid::over_image(128, 96, 16), CellGrid::over_image(128, 96, 1),
         CellGrid::over_image(128, 96, 64), CellGrid::over_image(128, 96, 24),
