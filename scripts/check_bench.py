@@ -72,6 +72,13 @@ What is compared, and why:
     The raw plain/traced wall-clocks and the overhead ratio itself are
     compared only under --check-times.
 
+  * Accelerator-model records (--hardware/--hardware-baseline pair of
+    BENCH_hardware.json files): the cycle, DRAM and energy model is
+    deterministic, so every field of every scene (cycles, fps, bottleneck,
+    DRAM bytes, energy, speedup ratios) must match the committed baseline
+    exactly. Only timestamp_utc and peak_rss_bytes are ignored. A scene
+    missing from, or added to, the fresh output fails.
+
 Wall-clock fields (*_ms, speedups derived from them) are skipped by default:
 absolute times are machine-dependent and CI runners are noisy. Pass
 --check-times for same-machine comparisons (e.g. refreshing the baseline
@@ -92,6 +99,8 @@ Usage:
                  [--quality-baseline=<baseline BENCH_quality.json>]
                  [--telemetry=<fresh BENCH_telemetry.json>]
                  [--telemetry-baseline=<baseline BENCH_telemetry.json>]
+                 [--hardware=<fresh BENCH_hardware.json>]
+                 [--hardware-baseline=<baseline BENCH_hardware.json>]
 
 Baseline refresh procedure: see bench/README.md ("Perf-regression gate").
 """
@@ -192,6 +201,8 @@ COUNTER_KEYS = [
 ]
 RATIO_KEYS = ["sort_pair_reduction"]
 TIME_SUFFIX = "_ms"
+
+HARDWARE_IGNORED_KEYS = ("timestamp_utc", "peak_rss_bytes")
 
 
 def rel_diff(new, old):
@@ -476,6 +487,39 @@ def compare_telemetry(gate, fresh, baseline, check_times):
         compare_section(gate, "telemetry", fresh, baseline, TELEMETRY_TIME_KEYS)
 
 
+def require_equal(gate, where, new, old):
+    """Requires `new` to equal `old` exactly, leaf by leaf (dicts by key)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            if key not in new:
+                gate.require(where, False, f"missing field '{key}' in fresh output")
+            elif key not in old:
+                gate.require(where, False, f"field '{key}' not in baseline")
+            else:
+                require_equal(gate, f"{where}.{key}", new[key], old[key])
+    else:
+        gate.require(where, new == old, f"{new} vs baseline {old} (must match exactly)")
+
+
+def compare_hardware(gate, fresh, baseline):
+    """Gates a fresh BENCH_hardware.json against the committed baseline."""
+
+    def header(doc):
+        return {k: v for k, v in doc.items() if k not in HARDWARE_IGNORED_KEYS + ("scenes",)}
+
+    require_equal(gate, "hardware", header(fresh), header(baseline))
+    fresh_scenes = {s["scene"]: s for s in fresh.get("scenes", [])}
+    base_scenes = {s["scene"]: s for s in baseline.get("scenes", [])}
+    for name in sorted(set(base_scenes) | set(fresh_scenes)):
+        where = f"hardware.{name}"
+        if name not in fresh_scenes:
+            gate.require(where, False, "scene missing from fresh output")
+        elif name not in base_scenes:
+            gate.require(where, False, "scene not in baseline")
+        else:
+            require_equal(gate, where, fresh_scenes[name], base_scenes[name])
+
+
 def compare_service(gate, fresh, baseline, check_times):
     """Gates a fresh BENCH_service.json against the committed baseline."""
     if fresh.get("scale", {}) != baseline.get("scale", {}):
@@ -542,6 +586,8 @@ def main(argv):
     quality_baseline_path = None
     telemetry_fresh_path = None
     telemetry_baseline_path = None
+    hardware_fresh_path = None
+    hardware_baseline_path = None
     for opt in opts:
         if opt.startswith("--tolerance="):
             tolerance = float(opt.split("=", 1)[1])
@@ -571,6 +617,10 @@ def main(argv):
             telemetry_baseline_path = opt.split("=", 1)[1]
         elif opt.startswith("--telemetry="):
             telemetry_fresh_path = opt.split("=", 1)[1]
+        elif opt.startswith("--hardware-baseline="):
+            hardware_baseline_path = opt.split("=", 1)[1]
+        elif opt.startswith("--hardware="):
+            hardware_fresh_path = opt.split("=", 1)[1]
         else:
             print(f"check_bench: unknown option {opt}")
             return 1
@@ -591,6 +641,9 @@ def main(argv):
         return 1
     if (telemetry_fresh_path is None) != (telemetry_baseline_path is None):
         print("check_bench: --telemetry and --telemetry-baseline must be given together")
+        return 1
+    if (hardware_fresh_path is None) != (hardware_baseline_path is None):
+        print("check_bench: --hardware and --hardware-baseline must be given together")
         return 1
 
     with open(args[0]) as f:
@@ -708,6 +761,13 @@ def main(argv):
         with open(telemetry_baseline_path) as f:
             telemetry_baseline = json.load(f)
         compare_telemetry(gate, telemetry_fresh, telemetry_baseline, check_times)
+
+    if hardware_fresh_path is not None:
+        with open(hardware_fresh_path) as f:
+            hardware_fresh = json.load(f)
+        with open(hardware_baseline_path) as f:
+            hardware_baseline = json.load(f)
+        compare_hardware(gate, hardware_fresh, hardware_baseline)
 
     if gate.failures:
         print(f"check_bench: FAIL — {len(gate.failures)} violation(s), {gate.checked} checks:")

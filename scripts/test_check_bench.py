@@ -6,7 +6,8 @@ directory, runs check_bench.py as a subprocess (the same way CI invokes it)
 and asserts on the exit code and the violation text. Covers: the identity
 run, the +/-15% counter tolerance (both sides), --tolerance, hard
 correctness flags (lossless, batch/simd/residency identity, temporal /
-binning / dataset / quality / telemetry / service gates), scale mismatch,
+binning / dataset / quality / telemetry / service gates), the exact
+accelerator-model gate (hardware), scale mismatch,
 missing scenes/fields, wall-clock skipping vs --check-times, and CLI
 contract errors (unpaired section flags, unknown options).
 
@@ -189,6 +190,21 @@ def service_doc():
             }
         ],
     }
+
+
+def hardware_doc():
+    def design(cycles):
+        return {"total_cycles": cycles, "fps": 1.0e9 / cycles, "bottleneck": "sort",
+                "dram_bytes": 3040228, "energy_j": 9.14685e-05}
+
+    scene = {
+        "scene": "orbit",
+        "baseline": design(79351),
+        "gstg": design(55275),
+        "ratios": {"speedup_vs_baseline": 1.43557},
+    }
+    return {"bench": "hardware_sim", "timestamp_utc": "2026-01-01T00:00:00Z",
+            "scale": dict(SCALE), "scenes": [scene], "peak_rss_bytes": 1000}
 
 
 class CheckBenchTest(unittest.TestCase):
@@ -455,6 +471,25 @@ class CheckBenchTest(unittest.TestCase):
         fresh["scenes"][0]["reuse_pairs"] = 10000
         self.assert_fails(self.section_gate("service", fresh, service_doc()),
                           "service.orbit.reuse_pairs")
+
+    def test_hardware_identical_passes(self):
+        fresh = hardware_doc()
+        fresh["timestamp_utc"] = "2026-02-02T00:00:00Z"  # ignored
+        fresh["peak_rss_bytes"] = 2000                  # ignored
+        result = self.section_gate("hardware", fresh, hardware_doc())
+        self.assertEqual(result.returncode, 0, result.stdout)
+
+    def test_hardware_cycle_change_fails(self):
+        fresh = hardware_doc()
+        fresh["scenes"][0]["gstg"]["total_cycles"] += 1  # exact: no tolerance
+        self.assert_fails(self.section_gate("hardware", fresh, hardware_doc()),
+                          "hardware.orbit.gstg.total_cycles")
+
+    def test_hardware_missing_scene_fails(self):
+        fresh = hardware_doc()
+        fresh["scenes"] = []
+        self.assert_fails(self.section_gate("hardware", fresh, hardware_doc()),
+                          "hardware.orbit: scene missing")
 
 
 if __name__ == "__main__":
