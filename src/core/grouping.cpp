@@ -242,19 +242,19 @@ void rasterize_grouped_impl(const GroupedFrame& frame, std::size_t threads,
   const CellGrid& tile_grid = frame.tile_grid;
   const std::size_t tiles = static_cast<std::size_t>(tile_grid.cell_count());
 
-  // Per-worker reusable buffers sized from the exact worker count. The
-  // stats are plain integers, so they merge through atomics.
+  // Per-worker reusable buffers sized from the exact worker count. Each
+  // tile writes only its own stats slot, so the frame counters are their
+  // sum after the loop.
   const std::size_t workers = planned_worker_count(tiles, threads);
   RasterScratch local_scratch;
   RasterScratch& rs = scratch != nullptr ? *scratch : local_scratch;
   if (rs.workers.size() < workers) rs.workers.resize(workers);
+  rs.tile_stats.resize(tiles);
 
   counters.filter_checks += expand_tile_lists(frame, threads, rs);
 
-  std::atomic<std::size_t> alpha{0}, blends{0}, exits{0}, list_work{0}, pixels{0};
   parallel_for_chunks(0, tiles, [&](std::size_t lo, std::size_t hi, std::size_t worker) {
     GSTG_SPAN("raster_chunk");
-    TileRasterStats local;
     RasterScratch::Worker& wk = rs.workers[worker];
     for (std::size_t t = lo; t < hi; ++t) {
       const int tx = static_cast<int>(t) % tile_grid.cells_x;
@@ -265,20 +265,17 @@ void rasterize_grouped_impl(const GroupedFrame& frame, std::size_t threads,
       const int y0 = ty * tile_grid.cell_size;
       const int x1 = std::min(x0 + tile_grid.cell_size, tile_grid.image_width);
       const int y1 = std::min(y0 + tile_grid.cell_size, tile_grid.image_height);
-      local.accumulate(raster_tile(wk, list, x0, y0, x1, y1));
+      rs.tile_stats[t] = raster_tile(wk, list, x0, y0, x1, y1);
     }
-    alpha.fetch_add(local.alpha_computations, std::memory_order_relaxed);
-    blends.fetch_add(local.blend_ops, std::memory_order_relaxed);
-    exits.fetch_add(local.early_exit_pixels, std::memory_order_relaxed);
-    list_work.fetch_add(local.pixel_list_work, std::memory_order_relaxed);
-    pixels.fetch_add(local.pixels, std::memory_order_relaxed);
   }, threads);
 
-  counters.alpha_computations += alpha.load();
-  counters.blend_ops += blends.load();
-  counters.early_exit_pixels += exits.load();
-  counters.pixel_list_work += list_work.load();
-  counters.total_pixels += pixels.load();
+  TileRasterStats total;
+  for (const TileRasterStats& s : rs.tile_stats) total.accumulate(s);
+  counters.alpha_computations += total.alpha_computations;
+  counters.blend_ops += total.blend_ops;
+  counters.early_exit_pixels += total.early_exit_pixels;
+  counters.pixel_list_work += total.pixel_list_work;
+  counters.total_pixels += total.pixels;
 }
 
 }  // namespace

@@ -75,7 +75,9 @@ void sort_group_entries(std::uint32_t* ids, TileMask* masks, std::size_t n,
 /// Reusable rasterization buffers for rasterize_grouped and
 /// rasterize_grouped_sortless: the tile-major lists expanded from the
 /// group lists by mask bits, plus the per-worker blending scratch of both
-/// tile kernels (exact and sortless).
+/// tile kernels (exact and sortless). After a call, tile_offsets/tile_ids
+/// and tile_stats describe the frame just rasterized, tile by tile — the
+/// per-unit work the accelerator model (sim/workload.h) reads.
 struct RasterScratch {
   struct Worker {
     TileRasterScratch tile;
@@ -85,6 +87,7 @@ struct RasterScratch {
   std::vector<std::uint32_t> tile_counts;   ///< per tile: list length, then scatter cursors
   std::vector<std::uint32_t> tile_offsets;  ///< tile-list CSR offsets (tiles + 1)
   std::vector<std::uint32_t> tile_ids;      ///< per tile: splat ids in group-list order
+  std::vector<TileRasterStats> tile_stats;  ///< per tile: the tile kernel's stats
 };
 
 /// Tile-wise rasterization over group-sorted lists: each tile gets the

@@ -1,6 +1,5 @@
 #include "core/pipeline.h"
 
-#include "common/timer.h"
 #include "core/renderer.h"
 
 namespace gstg {
@@ -14,17 +13,6 @@ RenderResult render_gstg(const GaussianCloud& cloud, const Camera& camera,
   FrameContext ctx;
   renderer.render(cloud, camera, ctx);
   return RenderResult{std::move(ctx.image), ctx.times, ctx.counters, ctx.quality};
-}
-
-GsTgFrameData build_gstg_frame(const GaussianCloud& cloud, const Camera& camera,
-                               const GsTgConfig& config) {
-  // The persistent renderer's own stages, stopped before raster.
-  const Renderer renderer(config);
-  FrameContext ctx;
-  Timer timer;
-  renderer.begin_frame(cloud, camera, ctx, timer);
-  renderer.order_groups(ctx);
-  return GsTgFrameData{std::move(ctx.splats), std::move(ctx.frame), ctx.counters};
 }
 
 }  // namespace gstg

@@ -3,8 +3,6 @@
 // via per-Gaussian bitmasks — lossless with respect to the baseline.
 #pragma once
 
-#include <vector>
-
 #include "camera/camera.h"
 #include "core/grouping.h"
 #include "gaussian/cloud.h"
@@ -21,19 +19,5 @@ namespace gstg {
 ///   raster_ms     = bitmask filtering + tile-wise rasterization
 RenderResult render_gstg(const GaussianCloud& cloud, const Camera& camera,
                          const GsTgConfig& config);
-
-/// Stage products of a GS-TG frame, for tests and the accelerator
-/// simulator: the projected splats and the sorted, masked group lists.
-struct GsTgFrameData {
-  std::vector<ProjectedSplat> splats;
-  GroupedFrame frame;
-  RenderCounters counters;
-};
-
-/// Runs Renderer::begin_frame and the plain group sort (no rasterization)
-/// and returns the intermediate data. The group lists come back depth-sorted
-/// under every pipeline mode.
-GsTgFrameData build_gstg_frame(const GaussianCloud& cloud, const Camera& camera,
-                               const GsTgConfig& config);
 
 }  // namespace gstg

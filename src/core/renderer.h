@@ -30,8 +30,10 @@ namespace gstg {
 
 /// All per-frame state of one GS-TG render, reusable across frames. The
 /// stage products (splats, frame, image, counters, times) are valid after
-/// Renderer::render returns; the scratch members are implementation
-/// buffers.
+/// Renderer::render returns, and so are the tile lists and per-tile stats
+/// the raster leaves in `raster` (tile_offsets/tile_ids/tile_stats — those
+/// of the exact audit render under kVerify). The other scratch members are
+/// implementation buffers.
 struct FrameContext {
   // Stage products.
   std::vector<ProjectedSplat> splats;
@@ -67,14 +69,13 @@ struct FrameContext {
 /// Every GS-TG frame path runs the one stage sequence written here (paper
 /// Fig. 9): preprocess with group identification, bitmask generation, the
 /// group ordering, then tile raster with bitmask filtering. The render()
-/// overloads differ only in their preprocess step; TemporalRenderer and
-/// build_gstg_frame reuse begin_frame()/end_frame() and supply only their
-/// ordering step. StageTimes attribution is that of render_gstg
-/// (core/pipeline.h).
+/// overloads differ only in their preprocess step; TemporalRenderer reuses
+/// begin_frame()/end_frame() and supplies only its ordering step.
+/// StageTimes attribution is that of render_gstg (core/pipeline.h).
 class Renderer {
  public:
   /// Validates and captures the configuration as given (throws
-  /// std::invalid_argument on an invalid one, like render_gstg). The
+  /// ConfigError on an invalid one, like render_gstg). The
   /// environment is not consulted: process edges apply the GSTG_* mode
   /// knobs beforehand with resolve_from_env (common/runconfig.h).
   explicit Renderer(const GsTgConfig& config);

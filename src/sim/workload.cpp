@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
-#include "common/parallel.h"
-#include "core/pipeline.h"
-#include "render/binning.h"
-#include "render/framebuffer.h"
-#include "render/preprocess.h"
-#include "render/rasterize.h"
-#include "render/sort.h"
+#include "core/renderer.h"
 
 namespace gstg {
 
@@ -24,40 +20,110 @@ constexpr std::size_t kIndexBytes = 4;
 constexpr std::size_t kFeatureEntryBytes = kFeatureScalars * kBytesPerScalar + kIndexBytes;
 constexpr std::size_t kFramebufferBytesPerPixel = 3;  // 8-bit RGB out
 
-void fill_common_traffic(FrameWorkload& w, const GaussianCloud& cloud, std::size_t pairs) {
+/// The GS-TG configuration that does a tile-sorted pipeline's work: one
+/// tile per group (r = 1), both identification steps with the pipeline's
+/// boundary, and flat binning like the pipeline's own bin_splats default.
+/// Its group lists are the per-tile sorted lists and every mask is 1, so
+/// the raster lists, boundary tests and alpha evaluations are the
+/// baseline's.
+GsTgConfig tile_sorted_config(const RenderConfig& rc) {
+  GsTgConfig config;
+  config.tile_size = rc.tile_size;
+  config.group_size = rc.tile_size;
+  config.group_boundary = rc.boundary;
+  config.mask_boundary = rc.boundary;
+  config.opacity_aware_rho = rc.opacity_aware_rho;
+  config.sort_algo = rc.sort_algo;
+  config.simd = rc.simd;
+  config.binning = BinningMode::kFlat;
+  config.threads = rc.threads;
+  return config;
+}
+
+/// Renders one exact frame of `config` into `ctx` and reads the work every
+/// design shares from it: a sort unit per group list, a raster unit per
+/// tile (its list length and measured tile-kernel stats), and the fp16
+/// DRAM traffic, with features fetched once per (group, splat) pair.
+FrameWorkload render_workload(const GaussianCloud& cloud, const Camera& camera,
+                              GsTgConfig config, std::string design, FrameContext& ctx) {
+  config.pipeline = PipelineMode::kExact;
+  Renderer(config).render(cloud, camera, ctx);
+  const GroupedFrame& frame = ctx.frame;
+  const CellGrid& tile_grid = frame.tile_grid;
+  const std::vector<std::uint32_t>& group_offsets = frame.group_bins.offsets;
+  const std::vector<std::uint32_t>& tile_offsets = ctx.raster.tile_offsets;
+  const int r = frame.config.tiles_per_side();
+
+  FrameWorkload w;
+  w.design = std::move(design);
+  w.input_gaussians = ctx.counters.input_gaussians;
+  w.visible_gaussians = ctx.counters.visible_gaussians;
+  w.ident_tests = ctx.counters.boundary_tests;  // group (or tile) identification tests
+
+  w.sorts.resize(static_cast<std::size_t>(frame.group_grid.cell_count()));
+  for (std::size_t g = 0; g < w.sorts.size(); ++g) {
+    w.sorts[g].n = group_offsets[g + 1] - group_offsets[g];
+  }
+
+  w.tiles.resize(static_cast<std::size_t>(tile_grid.cell_count()));
+  for (std::size_t t = 0; t < w.tiles.size(); ++t) {
+    const int tx = static_cast<int>(t) % tile_grid.cells_x;
+    const int ty = static_cast<int>(t) / tile_grid.cells_x;
+    const TileRasterStats& s = ctx.raster.tile_stats[t];
+    RasterUnit& unit = w.tiles[t];
+    unit.raster_entries = tile_offsets[t + 1] - tile_offsets[t];
+    unit.alpha_evals = s.alpha_computations;
+    unit.pixels = static_cast<std::uint32_t>(s.pixels);
+    unit.sort_unit = static_cast<std::uint32_t>(frame.group_grid.cell_index(tx / r, ty / r));
+    w.total_pixels += unit.pixels;
+  }
+
+  const std::size_t pairs = frame.group_bins.splat_ids.size();
   w.param_bytes = w.input_gaussians * cloud.bytes_per_gaussian(kBytesPerScalar);
   w.feature_bytes = pairs * kFeatureEntryBytes;
   w.list_bytes = pairs * kIndexBytes * 2;  // sorted index list write + read
   w.framebuffer_bytes = w.total_pixels * kFramebufferBytesPerPixel;
+  return w;
+}
+
+/// Pixels of the tile covered through subtile granularity: sum of the
+/// clipped areas of subtiles whose rect intersects the splat's OBB (the
+/// shape-aware test GSCore's hardware reuses for its subtile bitmap).
+std::size_t covered_subtile_pixels(const ProjectedSplat& splat, int x0, int y0, int x1, int y1,
+                                   int subtile) {
+  const Obb obb = Obb::from_ellipse(splat.footprint());
+  std::size_t covered = 0;
+  for (int sy = y0; sy < y1; sy += subtile) {
+    const int sy1 = std::min(sy + subtile, y1);
+    for (int sx = x0; sx < x1; sx += subtile) {
+      const int sx1 = std::min(sx + subtile, x1);
+      const Rect rect{static_cast<float>(sx), static_cast<float>(sy), static_cast<float>(sx1),
+                      static_cast<float>(sy1)};
+      if (obb_intersects(obb, rect)) {
+        covered += static_cast<std::size_t>(sx1 - sx) * static_cast<std::size_t>(sy1 - sy);
+      }
+    }
+  }
+  return covered;
 }
 
 }  // namespace
 
 FrameWorkload build_gstg_workload(const GaussianCloud& cloud, const Camera& camera,
                                   const GsTgConfig& config) {
-  const GsTgFrameData data = build_gstg_frame(cloud, camera, config);
-  const GroupedFrame& frame = data.frame;
+  FrameContext ctx;
+  FrameWorkload w = render_workload(cloud, camera, config, "GS-TG", ctx);
+
+  const GroupedFrame& frame = ctx.frame;
   const CellGrid& tile_grid = frame.tile_grid;
   const CellGrid& group_grid = frame.group_grid;
-  const int r = config.tiles_per_side();
+  const int r = frame.config.tiles_per_side();
 
-  FrameWorkload w;
-  w.design = "GS-TG";
-  w.input_gaussians = data.counters.input_gaussians;
-  w.visible_gaussians = data.counters.visible_gaussians;
-  w.ident_tests = data.counters.boundary_tests;  // group identification tests
-
-  // Per-group sorting and bitmask units.
-  const std::size_t groups = static_cast<std::size_t>(group_grid.cell_count());
-  w.sorts.resize(groups);
-  w.bgm.resize(groups);
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::uint32_t n = frame.group_bins.offsets[g + 1] - frame.group_bins.offsets[g];
-    w.sorts[g].n = n;
-    w.bgm[g].entries = n;
-
-    // Bitmask test count: candidate AABB window clipped to the group, the
-    // exact quantity generate_bitmasks_into evaluates.
+  // Per-group bitmask units: one entry per group-list entry, and the test
+  // count of its candidate AABB window clipped to the group — the exact
+  // quantity generate_bitmasks_into evaluates.
+  w.bgm.resize(w.sorts.size());
+  for (std::size_t g = 0; g < w.bgm.size(); ++g) {
     const int gx = static_cast<int>(g) % group_grid.cells_x;
     const int gy = static_cast<int>(g) / group_grid.cells_x;
     const int tx_lo = gx * r, ty_lo = gy * r;
@@ -66,98 +132,80 @@ FrameWorkload build_gstg_workload(const GaussianCloud& cloud, const Camera& came
     std::uint32_t tests = 0;
     for (std::uint32_t e = frame.group_bins.offsets[g]; e < frame.group_bins.offsets[g + 1];
          ++e) {
-      const TileRange cand = candidate_cells(data.splats[frame.group_bins.splat_ids[e]], tile_grid);
+      const TileRange cand = candidate_cells(ctx.splats[frame.group_bins.splat_ids[e]], tile_grid);
       const int x0 = std::max(tx_lo, cand.tx0), x1 = std::min(tx_hi, cand.tx1);
       const int y0 = std::max(ty_lo, cand.ty0), y1 = std::min(ty_hi, cand.ty1);
       if (x0 < x1 && y0 < y1) {
         tests += static_cast<std::uint32_t>((x1 - x0) * (y1 - y0));
       }
     }
+    w.bgm[g].entries = w.sorts[g].n;
     w.bgm[g].tests = tests;
   }
 
-  // Per-tile rasterization units with measured alpha evaluations.
-  const std::size_t tiles = static_cast<std::size_t>(tile_grid.cell_count());
-  w.tiles.resize(tiles);
-  Framebuffer scratch(tile_grid.image_width, tile_grid.image_height);
-  parallel_for_chunks(0, tiles, [&](std::size_t lo, std::size_t hi, std::size_t) {
-    std::vector<std::uint32_t> filtered;
-    for (std::size_t t = lo; t < hi; ++t) {
-      const int tx = static_cast<int>(t) % tile_grid.cells_x;
-      const int ty = static_cast<int>(t) / tile_grid.cells_x;
-      const int gx = tx / r, gy = ty / r;
-      const std::size_t g = static_cast<std::size_t>(group_grid.cell_index(gx, gy));
-      const TileMask location = TileMask{1} << mask_bit_index(tx - gx * r, ty - gy * r, r);
-
-      filtered.clear();
-      for (std::uint32_t e = frame.group_bins.offsets[g]; e < frame.group_bins.offsets[g + 1];
-           ++e) {
-        if (frame.masks[e] & location) filtered.push_back(frame.group_bins.splat_ids[e]);
-      }
-      const int x0 = tx * tile_grid.cell_size, y0 = ty * tile_grid.cell_size;
-      const int x1 = std::min(x0 + tile_grid.cell_size, tile_grid.image_width);
-      const int y1 = std::min(y0 + tile_grid.cell_size, tile_grid.image_height);
-      const TileRasterStats s = rasterize_tile(data.splats, filtered, x0, y0, x1, y1, scratch);
-
-      RasterUnit& unit = w.tiles[t];
-      unit.filter_len = frame.group_bins.offsets[g + 1] - frame.group_bins.offsets[g];
-      unit.raster_entries = static_cast<std::uint32_t>(filtered.size());
-      unit.alpha_evals = s.alpha_computations;
-      unit.pixels = static_cast<std::uint32_t>(s.pixels);
-      unit.sort_unit = static_cast<std::uint32_t>(g);
-    }
-  }, config.threads);
-
-  for (const RasterUnit& t : w.tiles) w.total_pixels += t.pixels;
+  // The raster module's AND-filter scans the whole group list per tile.
+  for (RasterUnit& unit : w.tiles) unit.filter_len = w.sorts[unit.sort_unit].n;
   // GS-TG fetches features once per (group, splat) pair; the group's tiles
   // share them through the core's shared memory (Fig. 10). Each on-chip
   // entry additionally carries its 16-bit tile bitmask.
-  fill_common_traffic(w, cloud, frame.group_bins.splat_ids.size());
   w.working_set_entry_bytes = 10;  // depth + index + 16-bit bitmask
   return w;
 }
 
 FrameWorkload build_tile_sorted_workload(const GaussianCloud& cloud, const Camera& camera,
                                          const RenderConfig& config, const std::string& design) {
-  FrameWorkload w;
-  w.design = design;
+  FrameContext ctx;
+  return render_workload(cloud, camera, tile_sorted_config(config), design, ctx);
+}
 
-  RenderCounters counters;
-  const std::vector<ProjectedSplat> splats = preprocess(cloud, camera, config, counters);
-  const CellGrid grid = CellGrid::over_image(camera.width(), camera.height(), config.tile_size);
-  BinnedSplats bins = bin_splats(splats, grid, config.boundary, config.threads, counters);
-  sort_cell_lists(bins, splats, config.threads, counters, config.sort_algo);
+// GSCore workload model (Lee et al., ASPLOS 2024), built from the paper's
+// description: OBB-based tile intersection ("shape-aware intersection
+// test"), per-tile hierarchical sorting (bitonic chunks + merge), and
+// subtile skipping in the rasterizer. Subtile skipping uses the same OBB
+// test GSCore's hardware applies (not the exact ellipse) at coarse subtile
+// granularity, so the skip rate matches GSCore's mechanism rather than an
+// idealised one; the reduction is additionally scaled by the tile's
+// measured early-exit factor so all designs share the same early-
+// termination behaviour.
+FrameWorkload build_gscore_workload(const GaussianCloud& cloud, const Camera& camera,
+                                    int tile_size, int subtiles_per_side) {
+  if (subtiles_per_side <= 0 || tile_size % subtiles_per_side != 0) {
+    throw std::invalid_argument("build_gscore_workload: invalid subtile division");
+  }
+  const int subtile = tile_size / subtiles_per_side;
 
-  w.input_gaussians = counters.input_gaussians;
-  w.visible_gaussians = counters.visible_gaussians;
-  w.ident_tests = counters.boundary_tests;
+  RenderConfig config;
+  config.tile_size = tile_size;
+  config.boundary = Boundary::kObb;  // GSCore's shape-aware intersection test
+  FrameContext ctx;
+  FrameWorkload w = render_workload(cloud, camera, tile_sorted_config(config), "GSCore", ctx);
 
-  const std::size_t tiles = static_cast<std::size_t>(grid.cell_count());
-  w.sorts.resize(tiles);
-  w.tiles.resize(tiles);
-  Framebuffer scratch(grid.image_width, grid.image_height);
-  parallel_for_chunks(0, tiles, [&](std::size_t lo, std::size_t hi, std::size_t) {
-    for (std::size_t t = lo; t < hi; ++t) {
-      const int tx = static_cast<int>(t) % grid.cells_x;
-      const int ty = static_cast<int>(t) / grid.cells_x;
-      const int x0 = tx * grid.cell_size, y0 = ty * grid.cell_size;
-      const int x1 = std::min(x0 + grid.cell_size, grid.image_width);
-      const int y1 = std::min(y0 + grid.cell_size, grid.image_height);
-      const auto list = bins.cell_list(static_cast<int>(t));
-      const TileRasterStats s = rasterize_tile(splats, list, x0, y0, x1, y1, scratch);
+  const CellGrid& grid = ctx.frame.tile_grid;
+  for (std::size_t t = 0; t < w.tiles.size(); ++t) {
+    const int tx = static_cast<int>(t) % grid.cells_x;
+    const int ty = static_cast<int>(t) / grid.cells_x;
+    const int x0 = tx * grid.cell_size, y0 = ty * grid.cell_size;
+    const int x1 = std::min(x0 + grid.cell_size, grid.image_width);
+    const int y1 = std::min(y0 + grid.cell_size, grid.image_height);
 
-      w.sorts[t].n = static_cast<std::uint32_t>(list.size());
-      RasterUnit& unit = w.tiles[t];
-      unit.filter_len = 0;
-      unit.raster_entries = static_cast<std::uint32_t>(list.size());
-      unit.alpha_evals = s.alpha_computations;
-      unit.pixels = static_cast<std::uint32_t>(s.pixels);
-      unit.sort_unit = static_cast<std::uint32_t>(t);
+    // Early-exit factor of the full-tile rasterization.
+    const TileRasterStats& s = ctx.raster.tile_stats[t];
+    const double early_factor =
+        s.pixel_list_work > 0
+            ? static_cast<double>(s.alpha_computations) / static_cast<double>(s.pixel_list_work)
+            : 1.0;
+
+    // Subtile-skipped workload: alpha evaluations restricted to covered
+    // subtiles, then scaled by the same early-exit behaviour.
+    std::size_t covered_px = 0;
+    for (std::uint32_t e = ctx.raster.tile_offsets[t]; e < ctx.raster.tile_offsets[t + 1]; ++e) {
+      covered_px +=
+          covered_subtile_pixels(ctx.splats[ctx.raster.tile_ids[e]], x0, y0, x1, y1, subtile);
     }
-  }, config.threads);
-
-  for (const RasterUnit& t : w.tiles) w.total_pixels += t.pixels;
-  fill_common_traffic(w, cloud, bins.splat_ids.size());
+    const auto alpha_evals = static_cast<std::uint64_t>(
+        std::llround(static_cast<double>(covered_px) * early_factor));
+    w.tiles[t].alpha_evals = std::min<std::uint64_t>(alpha_evals, s.alpha_computations);
+  }
   return w;
 }
 

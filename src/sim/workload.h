@@ -1,8 +1,13 @@
-// Frame workload extraction: runs the software pipelines and distils the
-// per-unit operation counts the cycle simulator consumes. Using measured
-// workloads (real list lengths, real alpha-evaluation counts including
-// early exit) keeps the simulator faithful to the actual rendering work of
-// a scene rather than to analytic approximations.
+// Frame workload extraction: distils the per-unit operation counts the
+// cycle simulator consumes from one rendered frame. Each builder renders a
+// single exact Renderer frame (core/renderer.h) and reads its products —
+// the sorted group lists, the tile lists and the per-tile raster stats —
+// instead of running a pipeline of its own. The baseline and GSCore frames
+// are GS-TG frames at r = 1 (group_size == tile_size, equal boundaries,
+// flat binning), whose group lists are the per-tile sorted lists. Using
+// measured workloads (real list lengths, real alpha-evaluation counts
+// including early exit) keeps the simulator faithful to the actual
+// rendering work of a scene rather than to analytic approximations.
 #pragma once
 
 #include <cstdint>
@@ -72,15 +77,16 @@ FrameWorkload build_gstg_workload(const GaussianCloud& cloud, const Camera& came
                                   const GsTgConfig& config);
 
 /// Conventional pipeline on the same hardware (the paper's baseline):
-/// per-tile sorting, no bitmask stage, per-tile feature fetches.
+/// per-tile sorting, no bitmask stage, per-tile feature fetches. Read from
+/// the GS-TG frame at r = 1 with `config`'s tile size and boundary.
 FrameWorkload build_tile_sorted_workload(const GaussianCloud& cloud, const Camera& camera,
                                          const RenderConfig& config, const std::string& design);
 
 /// GSCore model: OBB binning, per-tile hierarchical sorting and a
 /// rasterizer that skips subtiles whose rect misses the splat OBB (2x2
-/// subtiles per tile, GSCore's coarse skip granularity). alpha_evals are
-/// reduced to the covered-subtile area, scaled by the tile's early-exit
-/// factor.
+/// subtiles per tile, GSCore's coarse skip granularity). Read from the
+/// kObb GS-TG frame at r = 1; alpha_evals are reduced to the
+/// covered-subtile area, scaled by the tile's early-exit factor.
 FrameWorkload build_gscore_workload(const GaussianCloud& cloud, const Camera& camera,
                                     int tile_size, int subtiles_per_side = 2);
 

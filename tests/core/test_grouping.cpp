@@ -9,7 +9,7 @@
 #include <string>
 
 #include "../test_helpers.h"
-#include "core/pipeline.h"
+#include "core/renderer.h"
 #include "render/preprocess.h"
 #include "render/simd_kernels.h"
 #include "render/sort.h"
@@ -18,6 +18,15 @@ namespace gstg {
 namespace {
 
 using testutil::make_camera;
+
+/// One exact frame through the persistent renderer; its splats, sorted
+/// group lists and masks are the stage products the tests below probe.
+FrameContext rendered_frame(const GaussianCloud& cloud, const Camera& cam,
+                            const GsTgConfig& config) {
+  FrameContext ctx;
+  Renderer(config).render(cloud, cam, ctx);
+  return ctx;
+}
 
 TEST(GsTgConfig, ValidatesGeometry) {
   GsTgConfig ok;
@@ -105,7 +114,7 @@ TEST(Bitmasks, FilteredSetsEqualBaselineTileSets) {
   config.group_boundary = Boundary::kEllipse;
   config.mask_boundary = Boundary::kEllipse;
 
-  const GsTgFrameData data = build_gstg_frame(cloud, cam, config);
+  const FrameContext data = rendered_frame(cloud, cam, config);
 
   RenderConfig rc;
   rc.tile_size = 16;
@@ -145,7 +154,7 @@ TEST(Bitmasks, NoBitsOutsideGroupWindow) {
   GsTgConfig config;
   config.tile_size = 16;
   config.group_size = 64;
-  const GsTgFrameData data = build_gstg_frame(cloud, cam, config);
+  const FrameContext data = rendered_frame(cloud, cam, config);
   const CellGrid& tiles = data.frame.tile_grid;
   const CellGrid& groups = data.frame.group_grid;
   const int rr = config.tiles_per_side();
@@ -235,7 +244,7 @@ TEST(RasterizeGrouped, MaskIndexedListsMatchPerTileAndFilter) {
         config.tile_size = geo.tile_size;
         config.group_size = geo.group_size;
         config.threads = threads;
-        const GsTgFrameData data = build_gstg_frame(cloud, cam, config);
+        const FrameContext data = rendered_frame(cloud, cam, config);
         const AndFilterReference ref = and_filter_reference(data.frame, data.splats, sortless);
 
         Framebuffer image(cam.width(), cam.height());
@@ -271,7 +280,7 @@ TEST(SortGroups, MasksTravelWithTheirSplats) {
   const Camera cam = make_camera();
   const GaussianCloud cloud = testutil::make_random_cloud(400, 71);
   GsTgConfig config;
-  const GsTgFrameData data = build_gstg_frame(cloud, cam, config);
+  const FrameContext data = rendered_frame(cloud, cam, config);
 
   // Recompute masks from scratch for the *sorted* bins: each entry's mask
   // must match a fresh mask computed for its splat.
@@ -289,7 +298,7 @@ TEST(SortGroups, GroupListsAreDepthSorted) {
   const Camera cam = make_camera();
   const GaussianCloud cloud = testutil::make_random_cloud(700, 73);
   GsTgConfig config;
-  const GsTgFrameData data = build_gstg_frame(cloud, cam, config);
+  const FrameContext data = rendered_frame(cloud, cam, config);
   const auto& bins = data.frame.group_bins;
   for (int g = 0; g < bins.grid.cell_count(); ++g) {
     const auto list = bins.cell_list(g);
@@ -307,7 +316,7 @@ TEST(Grouping, GroupPairsFarFewerThanTilePairs) {
   const Camera cam = make_camera(320, 256);
   const GaussianCloud cloud = testutil::make_random_cloud(1500, 79);
   GsTgConfig config;
-  const GsTgFrameData data = build_gstg_frame(cloud, cam, config);
+  const FrameContext data = rendered_frame(cloud, cam, config);
 
   RenderConfig rc;
   rc.tile_size = config.tile_size;
@@ -376,7 +385,7 @@ TEST(Grouping, MismatchedMaskArrayThrows) {
   const Camera cam = make_camera();
   const GaussianCloud cloud = testutil::make_random_cloud(100, 83);
   GsTgConfig config;
-  GsTgFrameData data = build_gstg_frame(cloud, cam, config);
+  FrameContext data = rendered_frame(cloud, cam, config);
   std::vector<TileMask> wrong(data.frame.masks.size() + 1, 0);
   RenderCounters counters;
   EXPECT_THROW(sort_groups(data.frame.group_bins, wrong, data.splats, 1, counters),

@@ -1,5 +1,6 @@
 // Persistent renderer (core/renderer.h): FrameContext reuse is bit-identical
-// and allocation-free in the steady state, render_batch matches N independent
+// and allocation-free in the steady state, the raster's per-tile stats sum to
+// the frame counters, render_batch matches N independent
 // render_gstg calls exactly, and the group radix sort is interchangeable
 // with the comparison sort.
 #include "core/renderer.h"
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
 
 #include "core/pipeline.h"
 #include "scene/scene.h"
@@ -60,6 +62,22 @@ bool counters_equal(const RenderCounters& a, const RenderCounters& b) {
          a.blend_ops == b.blend_ops && a.total_pixels == b.total_pixels;
 }
 
+/// The raster's per-tile stats (ctx.raster.tile_stats, what the
+/// accelerator model reads) sum to the frame's raster counters.
+void expect_tile_stats_sum_to_counters(const FrameContext& ctx, const std::string& what) {
+  TileRasterStats sum;
+  for (const TileRasterStats& s : ctx.raster.tile_stats) sum.accumulate(s);
+  EXPECT_EQ(ctx.raster.tile_stats.size(),
+            static_cast<std::size_t>(ctx.frame.tile_grid.cell_count()))
+      << what;
+  EXPECT_EQ(sum.alpha_computations, ctx.counters.alpha_computations) << what;
+  EXPECT_EQ(sum.blend_ops, ctx.counters.blend_ops) << what;
+  EXPECT_EQ(sum.early_exit_pixels, ctx.counters.early_exit_pixels) << what;
+  EXPECT_EQ(sum.pixel_list_work, ctx.counters.pixel_list_work) << what;
+  EXPECT_EQ(sum.pixels, ctx.counters.total_pixels) << what;
+  EXPECT_GT(sum.blend_ops, 0u) << what;
+}
+
 TEST(Renderer, MatchesRenderGstg) {
   const GaussianCloud cloud = make_random_cloud(600, 42);
   const Camera camera = make_camera();
@@ -79,20 +97,26 @@ TEST(Renderer, MatchesRenderGstg) {
 TEST(Renderer, ContextReuseIsBitIdentical) {
   const GaussianCloud cloud = make_random_cloud(800, 7);
   const Camera camera = make_camera(192, 128);
-  GsTgConfig config;
-  config.threads = 2;
+  for (const PipelineMode pipeline : {PipelineMode::kExact, PipelineMode::kSortless}) {
+    GsTgConfig config;
+    config.threads = 2;
+    config.pipeline = pipeline;
 
-  const Renderer renderer(config);
-  FrameContext fresh;
-  renderer.render(cloud, camera, fresh);
-  const Framebuffer reference = fresh.image;
-  const RenderCounters ref_counters = fresh.counters;
+    const Renderer renderer(config);
+    FrameContext fresh;
+    renderer.render(cloud, camera, fresh);
+    const Framebuffer reference = fresh.image;
+    const RenderCounters ref_counters = fresh.counters;
+    expect_tile_stats_sum_to_counters(fresh, to_string(pipeline));
 
-  FrameContext reused;
-  for (int round = 0; round < 3; ++round) {
-    renderer.render(cloud, camera, reused);
-    EXPECT_TRUE(images_identical(reference, reused.image)) << "round " << round;
-    EXPECT_TRUE(counters_equal(ref_counters, reused.counters)) << "round " << round;
+    FrameContext reused;
+    for (int round = 0; round < 3; ++round) {
+      const std::string what = std::string(to_string(pipeline)) + " round " + std::to_string(round);
+      renderer.render(cloud, camera, reused);
+      EXPECT_TRUE(images_identical(reference, reused.image)) << what;
+      EXPECT_TRUE(counters_equal(ref_counters, reused.counters)) << what;
+      expect_tile_stats_sum_to_counters(reused, what);
+    }
   }
 }
 
@@ -118,18 +142,22 @@ TEST(Renderer, ContextReuseAcrossCamerasMatchesFreshContexts) {
 TEST(Renderer, SteadyStateAllocatesNothing) {
   const GaussianCloud cloud = make_random_cloud(700, 99);
   const Camera camera = make_camera();
-  GsTgConfig config;
-  config.threads = 1;  // worker threads would allocate their own state
-  const Renderer renderer(config);
+  for (const PipelineMode pipeline : {PipelineMode::kExact, PipelineMode::kSortless}) {
+    GsTgConfig config;
+    config.threads = 1;  // worker threads would allocate their own state
+    config.pipeline = pipeline;
+    const Renderer renderer(config);
 
-  FrameContext ctx;
-  renderer.render(cloud, camera, ctx);  // warm-up: grow every buffer
-  renderer.render(cloud, camera, ctx);
+    FrameContext ctx;
+    renderer.render(cloud, camera, ctx);  // warm-up: grow every buffer
+    renderer.render(cloud, camera, ctx);
 
-  const std::size_t before = g_alloc_count.load();
-  renderer.render(cloud, camera, ctx);
-  const std::size_t after = g_alloc_count.load();
-  EXPECT_EQ(after - before, 0u) << "steady-state render allocated";
+    const std::size_t before = g_alloc_count.load();
+    renderer.render(cloud, camera, ctx);
+    const std::size_t after = g_alloc_count.load();
+    EXPECT_EQ(after - before, 0u) << to_string(pipeline) << ": steady-state render allocated";
+    expect_tile_stats_sum_to_counters(ctx, to_string(pipeline));
+  }
 }
 
 TEST(RenderBatch, BitIdenticalToSequentialRenders) {
@@ -180,43 +208,6 @@ TEST(RenderBatch, EmptyCameraListIsFine) {
   EXPECT_EQ(result.total.sort_pairs, 0u);
 }
 
-TEST(Renderer, BuildGsTgFrameMatchesRenderProducts) {
-  // build_gstg_frame runs the renderer's own stages up to raster, so its
-  // products equal the FrameContext's after a full render bit-for-bit.
-  const GaussianCloud cloud = make_random_cloud(900, 23);
-  const Camera camera = make_camera();
-  GsTgConfig config;
-  config.threads = 2;
-  const GsTgFrameData data = build_gstg_frame(cloud, camera, config);
-  const Renderer renderer(config);
-  FrameContext ctx;
-  renderer.render(cloud, camera, ctx);
-
-  ASSERT_EQ(data.splats.size(), ctx.splats.size());
-  EXPECT_EQ(std::memcmp(data.splats.data(), ctx.splats.data(),
-                        data.splats.size() * sizeof(ProjectedSplat)),
-            0);
-  const BinnedSplats& bins = data.frame.group_bins;
-  EXPECT_EQ(bins.grid.cells_x, ctx.frame.group_bins.grid.cells_x);
-  EXPECT_EQ(bins.grid.cells_y, ctx.frame.group_bins.grid.cells_y);
-  EXPECT_EQ(bins.offsets, ctx.frame.group_bins.offsets);
-  EXPECT_EQ(bins.splat_ids, ctx.frame.group_bins.splat_ids);
-  EXPECT_EQ(data.frame.masks, ctx.frame.masks);
-  EXPECT_EQ(data.frame.tile_grid.cells_x, ctx.frame.tile_grid.cells_x);
-  EXPECT_EQ(data.frame.tile_grid.cells_y, ctx.frame.tile_grid.cells_y);
-
-  // Counters match up to raster, which build_gstg_frame never runs.
-  RenderCounters pre_raster = ctx.counters;
-  pre_raster.alpha_computations = 0;
-  pre_raster.blend_ops = 0;
-  pre_raster.early_exit_pixels = 0;
-  pre_raster.pixel_list_work = 0;
-  pre_raster.total_pixels = 0;
-  pre_raster.filter_checks = 0;
-  EXPECT_EQ(std::memcmp(&pre_raster, &data.counters, sizeof(RenderCounters)), 0);
-  EXPECT_GT(data.counters.sort_pairs, 0u);
-}
-
 TEST(GroupSort, RadixMatchesComparisonOnScene) {
   // Whole-pipeline check: forcing either group-sort algorithm produces the
   // same image and the same sorted group lists, including depth ties.
@@ -229,14 +220,12 @@ TEST(GroupSort, RadixMatchesComparisonOnScene) {
   GsTgConfig radix = comparison;
   radix.sort_algo = SortAlgo::kRadix;
 
-  const GsTgFrameData a = build_gstg_frame(cloud, camera, comparison);
-  const GsTgFrameData b = build_gstg_frame(cloud, camera, radix);
+  FrameContext a, b;
+  Renderer(comparison).render(cloud, camera, a);
+  Renderer(radix).render(cloud, camera, b);
   EXPECT_EQ(a.frame.group_bins.splat_ids, b.frame.group_bins.splat_ids);
   EXPECT_EQ(a.frame.masks, b.frame.masks);
-
-  const RenderResult ra = render_gstg(cloud, camera, comparison);
-  const RenderResult rb = render_gstg(cloud, camera, radix);
-  EXPECT_TRUE(images_identical(ra.image, rb.image));
+  EXPECT_TRUE(images_identical(a.image, b.image));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "../test_helpers.h"
 #include "core/pipeline.h"
+#include "core/renderer.h"
 #include "gaussian/ply_io.h"
 #include "gaussian/quantize.h"
 #include "gaussian/transform.h"
@@ -116,8 +117,9 @@ TEST_P(GroupGeometrySweepTest, SortVolumeShrinksMonotonicallyWithGroupSize) {
     GsTgConfig config;
     config.tile_size = tile;
     config.group_size = group;
-    const GsTgFrameData data = build_gstg_frame(scene.cloud, scene.camera, config);
-    const std::size_t pairs = data.frame.group_bins.splat_ids.size();
+    FrameContext ctx;
+    Renderer(config).render(scene.cloud, scene.camera, ctx);
+    const std::size_t pairs = ctx.frame.group_bins.splat_ids.size();
     EXPECT_LE(pairs, prev_pairs) << "tile " << tile << " group " << group;
     prev_pairs = pairs;
   }

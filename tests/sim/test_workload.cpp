@@ -5,6 +5,8 @@
 #include <numeric>
 
 #include "../test_helpers.h"
+#include "core/renderer.h"
+#include "render/pipeline.h"
 #include "scene/scene.h"
 
 namespace gstg {
@@ -125,6 +127,76 @@ TEST_F(WorkloadTest, PixelTotalsConsistent) {
   EXPECT_EQ(all().gstg.total_pixels, 320u * 240u);
   EXPECT_EQ(all().baseline.total_pixels, 320u * 240u);
   EXPECT_EQ(all().gscore.total_pixels, 320u * 240u);
+}
+
+struct WorkloadSums {
+  std::size_t sort_pairs = 0;
+  std::size_t raster_entries = 0;
+  std::uint64_t alpha_evals = 0;
+  std::size_t bgm_tests = 0;
+};
+
+WorkloadSums sums(const FrameWorkload& w) {
+  WorkloadSums s;
+  for (const SortUnit& u : w.sorts) s.sort_pairs += u.n;
+  for (const RasterUnit& t : w.tiles) {
+    s.raster_entries += t.raster_entries;
+    s.alpha_evals += t.alpha_evals;
+  }
+  for (const BgmUnit& b : w.bgm) s.bgm_tests += b.tests;
+  return s;
+}
+
+TEST(Workload, TileSortedWorkloadsMatchRenderBaseline) {
+  // The baseline and GSCore workloads are read from GS-TG frames at r = 1;
+  // render_baseline's own per-tile pipeline is the independent reference
+  // for the work they report.
+  const Camera cam = make_camera(320, 240);
+  const GaussianCloud cloud = testutil::make_random_cloud(2000, 111);
+  for (const Boundary boundary : {Boundary::kEllipse, Boundary::kObb, Boundary::kAabb}) {
+    RenderConfig bc;
+    bc.tile_size = 16;
+    bc.boundary = boundary;
+    bc.binning = BinningMode::kFlat;
+    const RenderCounters ref = render_baseline(cloud, cam, bc).counters;
+    const FrameWorkload w = build_tile_sorted_workload(cloud, cam, bc, "Baseline");
+    const WorkloadSums got = sums(w);
+    const std::string what = "boundary " + std::to_string(static_cast<int>(boundary));
+    EXPECT_EQ(got.sort_pairs, ref.sort_pairs) << what;
+    EXPECT_EQ(got.raster_entries, ref.tile_pairs) << what;
+    EXPECT_EQ(got.alpha_evals, ref.alpha_computations) << what;
+    EXPECT_EQ(w.ident_tests, ref.boundary_tests) << what;
+    EXPECT_EQ(w.visible_gaussians, ref.visible_gaussians) << what;
+    EXPECT_EQ(w.total_pixels, ref.total_pixels) << what;
+  }
+
+  // GSCore bins with OBBs; its subtile skipping only lowers alpha evals.
+  RenderConfig obb;
+  obb.tile_size = 16;
+  obb.boundary = Boundary::kObb;
+  obb.binning = BinningMode::kFlat;
+  const RenderCounters ref = render_baseline(cloud, cam, obb).counters;
+  const FrameWorkload gscore = build_gscore_workload(cloud, cam, 16);
+  const WorkloadSums got = sums(gscore);
+  EXPECT_EQ(got.sort_pairs, ref.sort_pairs);
+  EXPECT_EQ(got.raster_entries, ref.tile_pairs);
+  EXPECT_EQ(gscore.ident_tests, ref.boundary_tests);
+  EXPECT_LE(got.alpha_evals, ref.alpha_computations);
+  EXPECT_GT(got.alpha_evals, 0u);
+}
+
+TEST(Workload, GsTgWorkloadMatchesRendererCounters) {
+  const Camera cam = make_camera(320, 240);
+  const GaussianCloud cloud = testutil::make_random_cloud(2000, 111);
+  GsTgConfig gc;
+  FrameContext ctx;
+  Renderer(gc).render(cloud, cam, ctx);
+  const FrameWorkload w = build_gstg_workload(cloud, cam, gc);
+  const WorkloadSums got = sums(w);
+  EXPECT_EQ(got.bgm_tests, ctx.counters.bitmask_tests);
+  EXPECT_EQ(got.alpha_evals, ctx.counters.alpha_computations);
+  EXPECT_EQ(got.sort_pairs, ctx.counters.sort_pairs);
+  EXPECT_EQ(w.ident_tests, ctx.counters.boundary_tests);
 }
 
 TEST(Workload, GscoreRejectsBadSubtileSplit) {
