@@ -70,18 +70,22 @@ TEST(EndToEnd, PrunedCloudRendersWithFewerPairsAndBoundedLoss) {
 
 TEST(EndToEnd, SimulatorConsistentWithRendererCounters) {
   // The workload builder and the renderer must agree on the work a frame
-  // contains: alpha evaluations, pair counts, pixels.
+  // contains: alpha evaluations, pair counts, bitmask and identification
+  // tests, pixels.
   const Scene scene = generate_scene("train", RunScale{8, 256});
   GsTgConfig config;
   const RenderResult rendered = render_gstg(scene.cloud, scene.camera, config);
   const FrameWorkload workload = build_gstg_workload(scene.cloud, scene.camera, config);
 
   std::uint64_t workload_alpha = 0;
-  std::size_t workload_pairs = 0;
+  std::size_t workload_pairs = 0, workload_bgm_tests = 0;
   for (const RasterUnit& t : workload.tiles) workload_alpha += t.alpha_evals;
   for (const SortUnit& s : workload.sorts) workload_pairs += s.n;
+  for (const BgmUnit& b : workload.bgm) workload_bgm_tests += b.tests;
   EXPECT_EQ(workload_alpha, rendered.counters.alpha_computations);
   EXPECT_EQ(workload_pairs, rendered.counters.sort_pairs);
+  EXPECT_EQ(workload_bgm_tests, rendered.counters.bitmask_tests);
+  EXPECT_EQ(workload.ident_tests, rendered.counters.boundary_tests);
   EXPECT_EQ(workload.total_pixels, rendered.counters.total_pixels);
 }
 

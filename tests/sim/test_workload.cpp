@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "../test_helpers.h"
-#include "core/renderer.h"
 #include "render/pipeline.h"
 #include "scene/scene.h"
 
@@ -133,7 +132,6 @@ struct WorkloadSums {
   std::size_t sort_pairs = 0;
   std::size_t raster_entries = 0;
   std::uint64_t alpha_evals = 0;
-  std::size_t bgm_tests = 0;
 };
 
 WorkloadSums sums(const FrameWorkload& w) {
@@ -143,7 +141,6 @@ WorkloadSums sums(const FrameWorkload& w) {
     s.raster_entries += t.raster_entries;
     s.alpha_evals += t.alpha_evals;
   }
-  for (const BgmUnit& b : w.bgm) s.bgm_tests += b.tests;
   return s;
 }
 
@@ -183,20 +180,6 @@ TEST(Workload, TileSortedWorkloadsMatchRenderBaseline) {
   EXPECT_EQ(gscore.ident_tests, ref.boundary_tests);
   EXPECT_LE(got.alpha_evals, ref.alpha_computations);
   EXPECT_GT(got.alpha_evals, 0u);
-}
-
-TEST(Workload, GsTgWorkloadMatchesRendererCounters) {
-  const Camera cam = make_camera(320, 240);
-  const GaussianCloud cloud = testutil::make_random_cloud(2000, 111);
-  GsTgConfig gc;
-  FrameContext ctx;
-  Renderer(gc).render(cloud, cam, ctx);
-  const FrameWorkload w = build_gstg_workload(cloud, cam, gc);
-  const WorkloadSums got = sums(w);
-  EXPECT_EQ(got.bgm_tests, ctx.counters.bitmask_tests);
-  EXPECT_EQ(got.alpha_evals, ctx.counters.alpha_computations);
-  EXPECT_EQ(got.sort_pairs, ctx.counters.sort_pairs);
-  EXPECT_EQ(w.ident_tests, ctx.counters.boundary_tests);
 }
 
 TEST(Workload, GscoreRejectsBadSubtileSplit) {
