@@ -11,7 +11,6 @@
 #include "common.h"
 #include "common/table.h"
 #include "core/pipeline.h"
-#include "render/pipeline.h"
 
 namespace {
 

@@ -11,7 +11,7 @@
 
 #include "common.h"
 #include "common/table.h"
-#include "render/pipeline.h"
+#include "core/pipeline.h"
 
 namespace {
 

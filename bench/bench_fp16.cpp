@@ -13,9 +13,9 @@
 
 #include "common.h"
 #include "common/table.h"
+#include "core/pipeline.h"
 #include "gaussian/quantize.h"
 #include "render/metrics.h"
-#include "render/pipeline.h"
 
 namespace {
 

@@ -28,7 +28,6 @@
 #include "json_writer.h"
 #include "render/binning.h"
 #include "render/framebuffer.h"
-#include "render/pipeline.h"
 #include "render/preprocess.h"
 #include "render/simd_kernels.h"
 #include "sim_runner.h"

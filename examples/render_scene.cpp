@@ -13,7 +13,6 @@
 #include "core/pipeline.h"
 #include "gaussian/ply_io.h"
 #include "gaussian/quantize.h"
-#include "render/pipeline.h"
 #include "scene/scene.h"
 
 namespace {

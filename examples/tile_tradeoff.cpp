@@ -8,7 +8,6 @@
 #include "common/cli.h"
 #include "common/table.h"
 #include "core/pipeline.h"
-#include "render/pipeline.h"
 #include "scene/scene.h"
 
 int main(int argc, char** argv) {

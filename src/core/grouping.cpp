@@ -28,6 +28,11 @@ void generate_bitmasks_into(std::span<const ProjectedSplat> splats,
   config.validate();
   const CellGrid& group_grid = group_bins.grid;
   const int r = config.tiles_per_side();
+  if (config.group_test_is_tile_test()) {
+    // The group identification already ran each entry's tile test.
+    masks.assign(group_bins.splat_ids.size(), 1);
+    return;
+  }
   masks.assign(group_bins.splat_ids.size(), 0);
 
   std::atomic<std::size_t> tests{0};
@@ -171,13 +176,19 @@ namespace {
 /// in parallel over groups without atomics: each tile belongs to exactly
 /// one group. Bits of tiles clipped off the grid's right or bottom edge
 /// are ignored, as the per-tile filter never queried them. Returns the
-/// filter_checks count — Σ over tiles of their group's list length.
+/// filter_checks count — Σ over tiles of their group's list length, or 0
+/// under group_test_is_tile_test, where each tile's list is its group's.
 std::size_t expand_tile_lists(const GroupedFrame& frame, std::size_t threads,
                               RasterScratch& rs) {
   GSTG_SPAN("raster_expand");
   const CellGrid& tile_grid = frame.tile_grid;
   const CellGrid& group_grid = frame.group_grid;
   const BinnedSplats& bins = frame.group_bins;
+  if (frame.config.group_test_is_tile_test()) {
+    rs.tile_offsets.assign(bins.offsets.begin(), bins.offsets.end());
+    rs.tile_ids.assign(bins.splat_ids.begin(), bins.splat_ids.end());
+    return 0;
+  }
   const int r = frame.config.tiles_per_side();
   const std::size_t groups = static_cast<std::size_t>(group_grid.cell_count());
 

@@ -41,7 +41,8 @@ BinnedSplats identify_groups(std::span<const ProjectedSplat> splats, const CellG
 /// range, mirroring baseline binning, so the effective per-tile hit set is
 /// identical to a baseline run with the same boundary (the lossless
 /// property). Writes one mask per entry into the caller-owned `masks`
-/// (resized in place) and updates counters.bitmask_tests.
+/// (resized in place) and updates counters.bitmask_tests. Under
+/// config.group_test_is_tile_test() every mask is 1 and no test runs.
 GSTG_HOT_NOALLOC
 void generate_bitmasks_into(std::span<const ProjectedSplat> splats,
                             const BinnedSplats& group_bins, const CellGrid& tile_grid,
@@ -97,7 +98,8 @@ struct RasterScratch {
 /// tiles named by its set mask bits, so an entry costs its popcount rather
 /// than one check per tile of the group. counters.filter_checks still
 /// reports the hardware filter's work — Σ over tiles of the group's list
-/// length — alongside the usual rasterization counters. `scratch` reuses
+/// length, or 0 when config.group_test_is_tile_test() proved every mask —
+/// alongside the usual rasterization counters. `scratch` reuses
 /// the lists and per-worker buffers across frames (nullptr = self-contained
 /// call).
 GSTG_HOT_NOALLOC

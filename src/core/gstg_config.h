@@ -89,6 +89,14 @@ struct GsTgConfig {
     return rc;
   }
 
+  /// True at r = 1 with one boundary method for both steps: each group is
+  /// one tile whose test the group identification already ran on the same
+  /// rectangle, so every mask is 1 without a test and the raster's
+  /// AND-filter checks nothing (the per-tile baseline, tile_sorted_config).
+  [[nodiscard]] bool group_test_is_tile_test() const {
+    return tiles_per_side() == 1 && mask_boundary == group_boundary;
+  }
+
   /// Tiles per group side; group_size must be a positive multiple of
   /// tile_size so small tiles align perfectly inside groups (paper Fig. 8b —
   /// the alignment that makes the method lossless).
@@ -120,8 +128,9 @@ struct GsTgConfig {
   /// True when the (group, mask) boundary pair guarantees pixel-exact
   /// equality with the baseline using `mask_boundary` tiles. Requires every
   /// tile-level hit to imply a group-level hit: the mask shape must be
-  /// contained in the group shape (Ellipse ⊆ OBB ⊆ ... see core/pipeline.cpp
-  /// notes). All combinations the paper evaluates satisfy this.
+  /// contained in the group shape (Ellipse ⊆ OBB ⊆ AABB, each the previous
+  /// one's bounding shape), so a tile the mask test keeps lies in a group
+  /// the group test kept. All combinations the paper evaluates satisfy this.
   [[nodiscard]] bool lossless_guaranteed() const {
     const auto rank = [](Boundary b) {
       switch (b) {
@@ -137,5 +146,25 @@ struct GsTgConfig {
     return rank(mask_boundary) >= rank(group_boundary);
   }
 };
+
+/// The GS-TG configuration that renders `rc`'s per-tile pipeline (paper
+/// Fig. 1): the degenerate grouping, one tile per group (r = 1) with
+/// `rc.boundary` for both identification steps, so each group list is that
+/// tile's sorted list. The inverse of GsTgConfig::render_config(); the
+/// fields RenderConfig lacks keep their defaults.
+[[nodiscard]] inline GsTgConfig tile_sorted_config(const RenderConfig& rc) {
+  GsTgConfig config;
+  config.tile_size = rc.tile_size;
+  config.group_size = rc.tile_size;
+  config.group_boundary = rc.boundary;
+  config.mask_boundary = rc.boundary;
+  config.opacity_aware_rho = rc.opacity_aware_rho;
+  config.sort_algo = rc.sort_algo;
+  config.simd = rc.simd;
+  config.binning = rc.binning;
+  config.pipeline = rc.pipeline;
+  config.threads = rc.threads;
+  return config;
+}
 
 }  // namespace gstg

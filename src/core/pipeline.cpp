@@ -15,4 +15,9 @@ RenderResult render_gstg(const GaussianCloud& cloud, const Camera& camera,
   return RenderResult{std::move(ctx.image), ctx.times, ctx.counters, ctx.quality};
 }
 
+RenderResult render_baseline(const GaussianCloud& cloud, const Camera& camera,
+                             const RenderConfig& config) {
+  return render_gstg(cloud, camera, tile_sorted_config(config));
+}
+
 }  // namespace gstg

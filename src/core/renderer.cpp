@@ -121,7 +121,15 @@ void begin(const GsTgConfig& config, const Cloud& cloud, const Camera& camera, F
     generate_bitmasks_into(ctx.splats, ctx.frame.group_bins, ctx.frame.tile_grid, config,
                            ctx.counters, ctx.frame.masks);
   }
-  ctx.times.bitmask_ms = timer.lap_ms();
+  // When group identification already decided every mask (r = 1 with one
+  // boundary method: the per-tile baseline), writing them is part of that
+  // step and no bitmask stage is charged.
+  const double mask_ms = timer.lap_ms();
+  if (config.group_test_is_tile_test()) {
+    ctx.times.preprocess_ms += mask_ms;
+  } else {
+    ctx.times.bitmask_ms = mask_ms;
+  }
 }
 
 /// One whole frame with the plain ordering step (exact pipeline only).

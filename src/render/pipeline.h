@@ -1,12 +1,10 @@
-// Baseline tile-based 3D-GS rendering pipeline (paper Fig. 1):
-//   preprocessing (features + culling + tile identification)
-//   -> tile-wise sorting -> tile-wise rasterization.
-// This is the reference against which GS-TG is compared, and the source of
-// the profiling data behind Figs. 3, 5, 7 and Table I.
+// The result type of a full render. Both one-shot pipelines return it:
+// render_gstg and render_baseline (core/pipeline.h). The baseline tile
+// pipeline (paper Fig. 1) is the GS-TG frame at r = 1 — one tile per group
+// — so one frame sequence (core/renderer.h) serves both, and the baseline
+// still provides the profiling data behind Figs. 3, 5, 7 and Table I.
 #pragma once
 
-#include "camera/camera.h"
-#include "gaussian/cloud.h"
 #include "render/framebuffer.h"
 #include "render/quality.h"
 #include "render/types.h"
@@ -22,13 +20,5 @@ struct RenderResult {
   /// against the exact reference (quality.measured stays false otherwise).
   ImageQuality quality;
 };
-
-/// Runs the full baseline pipeline. Deterministic for a fixed input
-/// regardless of thread count. `config.pipeline` selects the blending
-/// discipline: kSortless skips the per-tile sort (sort_pairs stays 0) and
-/// blends order-independently; kVerify ships the sortless image and fills
-/// in RenderResult::quality against the exact reference.
-RenderResult render_baseline(const GaussianCloud& cloud, const Camera& camera,
-                             const RenderConfig& config);
 
 }  // namespace gstg

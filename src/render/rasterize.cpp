@@ -79,39 +79,4 @@ TileRasterStats rasterize_tile_sortless(std::span<const ProjectedSplat> splats,
                                          simd.exp_mode);
 }
 
-void rasterize_all_sortless(const BinnedSplats& bins, std::span<const ProjectedSplat> splats,
-                            Framebuffer& fb, std::size_t threads, RenderCounters& counters,
-                            SimdPolicy simd) {
-  const CellGrid& grid = bins.grid;
-  const std::size_t cells = static_cast<std::size_t>(grid.cell_count());
-  const SimdPolicy resolved{resolve_simd_backend(simd.backend), simd.exp_mode};
-
-  const std::size_t workers = planned_worker_count(cells, threads);
-  std::vector<TileRasterStats> per_worker(workers);
-
-  parallel_for_chunks(0, cells, [&](std::size_t lo, std::size_t hi, std::size_t worker) {
-    TileRasterStats local;
-    SortlessRasterScratch scratch;
-    for (std::size_t c = lo; c < hi; ++c) {
-      const int cx = static_cast<int>(c) % grid.cells_x;
-      const int cy = static_cast<int>(c) / grid.cells_x;
-      const int x0 = cx * grid.cell_size;
-      const int y0 = cy * grid.cell_size;
-      const int x1 = std::min(x0 + grid.cell_size, grid.image_width);
-      const int y1 = std::min(y0 + grid.cell_size, grid.image_height);
-      local.accumulate(rasterize_tile_sortless(splats, bins.cell_list(static_cast<int>(c)), x0,
-                                               y0, x1, y1, fb, scratch, resolved));
-    }
-    per_worker[worker].accumulate(local);
-  }, threads);
-
-  for (const TileRasterStats& s : per_worker) {
-    counters.alpha_computations += s.alpha_computations;
-    counters.blend_ops += s.blend_ops;
-    counters.early_exit_pixels += s.early_exit_pixels;
-    counters.pixel_list_work += s.pixel_list_work;
-    counters.total_pixels += s.pixels;
-  }
-}
-
 }  // namespace gstg

@@ -72,7 +72,9 @@ TileRasterStats rasterize_tile(std::span<const ProjectedSplat> splats,
                                int y1, Framebuffer& fb, TileRasterScratch& scratch,
                                SimdPolicy simd = {});
 
-/// Baseline full-image rasterization over per-tile sorted lists.
+/// Full-image rasterization over per-tile sorted lists: the stage form of
+/// the per-tile pipeline, kept as an independent reference (render_baseline
+/// itself rasterizes through core's rasterize_grouped at r = 1).
 void rasterize_all(const BinnedSplats& bins, std::span<const ProjectedSplat> splats,
                    Framebuffer& fb, std::size_t threads, RenderCounters& counters,
                    SimdPolicy simd = {});
@@ -111,11 +113,4 @@ TileRasterStats rasterize_tile_sortless(std::span<const ProjectedSplat> splats,
                                         std::span<const std::uint32_t> order, int x0, int y0,
                                         int x1, int y1, Framebuffer& fb,
                                         SortlessRasterScratch& scratch, SimdPolicy simd = {});
-
-/// Baseline full-image sortless rasterization over (unsorted) per-tile
-/// lists; `counters.sort_pairs` stays untouched because nothing sorts.
-void rasterize_all_sortless(const BinnedSplats& bins, std::span<const ProjectedSplat> splats,
-                            Framebuffer& fb, std::size_t threads, RenderCounters& counters,
-                            SimdPolicy simd = {});
-
 }  // namespace gstg

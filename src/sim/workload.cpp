@@ -20,23 +20,11 @@ constexpr std::size_t kIndexBytes = 4;
 constexpr std::size_t kFeatureEntryBytes = kFeatureScalars * kBytesPerScalar + kIndexBytes;
 constexpr std::size_t kFramebufferBytesPerPixel = 3;  // 8-bit RGB out
 
-/// The GS-TG configuration that does a tile-sorted pipeline's work: one
-/// tile per group (r = 1), both identification steps with the pipeline's
-/// boundary, and flat binning like the pipeline's own bin_splats default.
-/// Its group lists are the per-tile sorted lists and every mask is 1, so
-/// the raster lists, boundary tests and alpha evaluations are the
-/// baseline's.
-GsTgConfig tile_sorted_config(const RenderConfig& rc) {
-  GsTgConfig config;
-  config.tile_size = rc.tile_size;
-  config.group_size = rc.tile_size;
-  config.group_boundary = rc.boundary;
-  config.mask_boundary = rc.boundary;
-  config.opacity_aware_rho = rc.opacity_aware_rho;
-  config.sort_algo = rc.sort_algo;
-  config.simd = rc.simd;
+/// The r = 1 frame of a tile-sorted pipeline, binned flat so its boundary
+/// tests are the flat per-tile pass's.
+GsTgConfig flat_tile_sorted_config(const RenderConfig& rc) {
+  GsTgConfig config = tile_sorted_config(rc);
   config.binning = BinningMode::kFlat;
-  config.threads = rc.threads;
   return config;
 }
 
@@ -155,7 +143,7 @@ FrameWorkload build_gstg_workload(const GaussianCloud& cloud, const Camera& came
 FrameWorkload build_tile_sorted_workload(const GaussianCloud& cloud, const Camera& camera,
                                          const RenderConfig& config, const std::string& design) {
   FrameContext ctx;
-  return render_workload(cloud, camera, tile_sorted_config(config), design, ctx);
+  return render_workload(cloud, camera, flat_tile_sorted_config(config), design, ctx);
 }
 
 // GSCore workload model (Lee et al., ASPLOS 2024), built from the paper's
@@ -178,7 +166,8 @@ FrameWorkload build_gscore_workload(const GaussianCloud& cloud, const Camera& ca
   config.tile_size = tile_size;
   config.boundary = Boundary::kObb;  // GSCore's shape-aware intersection test
   FrameContext ctx;
-  FrameWorkload w = render_workload(cloud, camera, tile_sorted_config(config), "GSCore", ctx);
+  FrameWorkload w =
+      render_workload(cloud, camera, flat_tile_sorted_config(config), "GSCore", ctx);
 
   const CellGrid& grid = ctx.frame.tile_grid;
   for (std::size_t t = 0; t < w.tiles.size(); ++t) {

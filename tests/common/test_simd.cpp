@@ -19,7 +19,6 @@
 #include "core/pipeline.h"
 #include "gaussian/sh.h"
 #include "geometry/ellipse.h"
-#include "render/pipeline.h"
 #include "render/preprocess.h"
 #include "render/simd_kernels.h"
 #include "scene/scene.h"

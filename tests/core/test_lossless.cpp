@@ -2,7 +2,9 @@
 // lossless technique". These tests assert *bit-exact* equality between the
 // baseline per-tile pipeline and the GS-TG grouped pipeline across tile and
 // group geometries and every boundary combination with the containment
-// guarantee, on multiple scenes.
+// guarantee, on multiple scenes. The baseline side is the independent
+// per-tile reference of tests/test_helpers.h, not render_baseline (which is
+// itself a GS-TG frame at one tile per group).
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -11,7 +13,6 @@
 
 #include "../test_helpers.h"
 #include "core/pipeline.h"
-#include "render/pipeline.h"
 #include "scene/scene.h"
 
 namespace gstg {
@@ -42,7 +43,7 @@ TEST_P(LosslessTest, GsTgImageIsBitExactVsBaseline) {
   RenderConfig baseline;
   baseline.tile_size = c.tile;
   baseline.boundary = c.mask_boundary;  // rasterization tile sets must match
-  const RenderResult ref = render_baseline(cloud, cam, baseline);
+  const RenderResult ref = testutil::reference_baseline(cloud, cam, baseline);
 
   GsTgConfig config;
   config.tile_size = c.tile;
@@ -130,7 +131,7 @@ TEST_P(LosslessSweepTest, BitExactAcrossGeometryAndThreads) {
   baseline.tile_size = c.tile;
   baseline.boundary = Boundary::kEllipse;
   baseline.threads = 1;  // single-threaded oracle
-  const RenderResult ref = render_baseline(cloud, cam, baseline);
+  const RenderResult ref = testutil::reference_baseline(cloud, cam, baseline);
 
   GsTgConfig config;
   config.tile_size = c.tile;
@@ -155,7 +156,7 @@ TEST_P(LosslessSceneTest, BitExactOnSyntheticScenes) {
   RenderConfig baseline;
   baseline.tile_size = 16;
   baseline.boundary = Boundary::kEllipse;
-  const RenderResult ref = render_baseline(scene.cloud, scene.camera, baseline);
+  const RenderResult ref = testutil::reference_baseline(scene.cloud, scene.camera, baseline);
 
   GsTgConfig config;
   const RenderResult ours = render_gstg(scene.cloud, scene.camera, config);
@@ -172,7 +173,7 @@ TEST(Lossless, NonMultipleImageSizes) {
   RenderConfig baseline;
   baseline.tile_size = 16;
   baseline.boundary = Boundary::kEllipse;
-  const RenderResult ref = render_baseline(cloud, cam, baseline);
+  const RenderResult ref = testutil::reference_baseline(cloud, cam, baseline);
   GsTgConfig config;
   const RenderResult ours = render_gstg(cloud, cam, config);
   EXPECT_EQ(max_abs_diff(ref.image, ours.image), 0.0f);
@@ -185,7 +186,7 @@ TEST(Lossless, OpacityAwareRhoModeAlsoExact) {
   baseline.tile_size = 16;
   baseline.boundary = Boundary::kEllipse;
   baseline.opacity_aware_rho = true;
-  const RenderResult ref = render_baseline(cloud, cam, baseline);
+  const RenderResult ref = testutil::reference_baseline(cloud, cam, baseline);
   GsTgConfig config;
   config.opacity_aware_rho = true;
   const RenderResult ours = render_gstg(cloud, cam, config);
@@ -204,6 +205,50 @@ TEST(Lossless, GsTgDeterministicAcrossThreads) {
   EXPECT_EQ(max_abs_diff(a.image, b.image), 0.0f);
   EXPECT_EQ(a.counters.alpha_computations, b.counters.alpha_computations);
   EXPECT_EQ(a.counters.bitmask_tests, b.counters.bitmask_tests);
+}
+
+TEST(Lossless, OneTileGroupsWithOneBoundaryNeedNoMaskStage) {
+  // r = 1 and one boundary method: the group test was the tile test, so
+  // every mask is 1 without a test and the AND-filter checks nothing.
+  // (BaselinePipeline.BitIdenticalToPerTileReference checks the frame.)
+  const Camera cam = make_camera(240, 176);
+  const GaussianCloud cloud = testutil::make_random_cloud(1200, 91);
+  for (const Boundary boundary : {Boundary::kEllipse, Boundary::kObb, Boundary::kAabb}) {
+    SCOPED_TRACE(to_string(boundary));
+    GsTgConfig config;
+    config.group_size = config.tile_size;
+    config.group_boundary = boundary;
+    config.mask_boundary = boundary;
+    ASSERT_TRUE(config.group_test_is_tile_test());
+    const RenderResult ours = render_gstg(cloud, cam, config);
+    EXPECT_EQ(ours.counters.bitmask_tests, 0u);
+    EXPECT_EQ(ours.counters.filter_checks, 0u);
+    EXPECT_EQ(ours.times.bitmask_ms, 0.0);
+  }
+}
+
+TEST(Lossless, OneTileGroupsWithLooserGroupBoundaryStillTestMasks) {
+  // r = 1 but an AABB group test: the ellipse mask test still decides which
+  // entries a tile keeps, so the mask stage and the filter run.
+  const Camera cam = make_camera(240, 176);
+  const GaussianCloud cloud = testutil::make_random_cloud(1200, 91);
+  GsTgConfig config;
+  config.group_size = config.tile_size;
+  config.group_boundary = Boundary::kAabb;
+  config.mask_boundary = Boundary::kEllipse;
+  ASSERT_FALSE(config.group_test_is_tile_test());
+  const RenderResult ours = render_gstg(cloud, cam, config);
+  EXPECT_GT(ours.counters.bitmask_tests, 0u);
+  EXPECT_GT(ours.counters.filter_checks, 0u);
+
+  RenderConfig baseline;
+  baseline.boundary = Boundary::kEllipse;
+  const RenderResult ref = testutil::reference_baseline(cloud, cam, baseline);
+  EXPECT_EQ(max_abs_diff(ref.image, ours.image), 0.0f);
+  EXPECT_EQ(ref.counters.alpha_computations, ours.counters.alpha_computations);
+  EXPECT_EQ(ref.counters.blend_ops, ours.counters.blend_ops);
+  // Every AABB group-list entry is sorted, more than the ellipse tile lists.
+  EXPECT_GT(ours.counters.sort_pairs, ref.counters.sort_pairs);
 }
 
 TEST(Lossless, StageTimesAttributed) {

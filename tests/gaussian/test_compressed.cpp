@@ -145,7 +145,7 @@ TEST(CompressedCloud, DecodeRangeMatchesFullDecodeSlices) {
   const GaussianCloud full = compressed.decode();
 
   GaussianCloud chunk;
-  for (const auto [lo, hi] :
+  for (const auto& [lo, hi] :
        {std::pair<std::size_t, std::size_t>{0, 300}, {0, 1}, {299, 300}, {17, 203}, {100, 100}}) {
     compressed.decode_range(lo, hi, chunk);
     ASSERT_EQ(chunk.size(), hi - lo);

@@ -5,8 +5,8 @@
 #include <cmath>
 
 #include "../test_helpers.h"
+#include "core/pipeline.h"
 #include "render/framebuffer.h"
-#include "render/pipeline.h"
 
 namespace gstg {
 namespace {

@@ -10,7 +10,6 @@
 
 #include "../test_helpers.h"
 #include "core/pipeline.h"
-#include "render/pipeline.h"
 #include "scene/scene.h"
 
 namespace gstg {

@@ -12,7 +12,6 @@
 #include "gaussian/quantize.h"
 #include "gaussian/transform.h"
 #include "render/metrics.h"
-#include "render/pipeline.h"
 #include "scene/scene.h"
 #include "sim/accel.h"
 #include "sim/workload.h"

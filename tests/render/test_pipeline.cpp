@@ -1,6 +1,8 @@
-#include "render/pipeline.h"
+#include "core/pipeline.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "../test_helpers.h"
 #include "scene/scene.h"
@@ -43,6 +45,52 @@ TEST(BaselinePipeline, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(a.counters.tile_pairs, b.counters.tile_pairs);
   EXPECT_EQ(a.counters.alpha_computations, b.counters.alpha_computations);
   EXPECT_EQ(a.counters.blend_ops, b.counters.blend_ops);
+}
+
+TEST(BaselinePipeline, BitIdenticalToPerTileReference) {
+  // render_baseline is the GS-TG frame at one tile per group; the
+  // independent reference runs the per-tile stages directly
+  // (tests/test_helpers.h). Image and every counter must match.
+  const Camera cam = make_camera(200, 152);
+  const GaussianCloud cloud = testutil::make_random_cloud(1000, 29);
+  for (const Boundary boundary : {Boundary::kEllipse, Boundary::kObb, Boundary::kAabb}) {
+    for (const BinningMode binning : {BinningMode::kFlat, BinningMode::kHierarchical}) {
+      for (const std::size_t threads : {1, 4}) {
+        RenderConfig config;
+        config.boundary = boundary;
+        config.binning = binning;
+        config.threads = threads;
+        SCOPED_TRACE(std::string(to_string(boundary)) + " " + to_string(binning) + " threads " +
+                     std::to_string(threads));
+        const RenderResult want = testutil::reference_baseline(cloud, cam, config);
+        const RenderResult got = render_baseline(cloud, cam, config);
+        EXPECT_EQ(max_abs_diff(want.image, got.image), 0.0f);
+        testutil::expect_counters_equal(want.counters, got.counters);
+      }
+    }
+  }
+}
+
+TEST(BaselinePipeline, SortlessAndVerifyMatchGsTg) {
+  // The sortless tile kernel blends a tile's list order-independently, and
+  // GS-TG's filtered lists hold the baseline's per-tile sets: the shipped
+  // images agree bit for bit, and nothing is sorted on either side.
+  const Camera cam = make_camera(200, 152);
+  const GaussianCloud cloud = testutil::make_random_cloud(1000, 33);
+  for (const PipelineMode mode : {PipelineMode::kSortless, PipelineMode::kVerify}) {
+    SCOPED_TRACE(to_string(mode));
+    RenderConfig config;
+    config.pipeline = mode;
+    const RenderResult base = render_baseline(cloud, cam, config);
+    GsTgConfig gstg_config;
+    gstg_config.pipeline = mode;
+    const RenderResult gstg = render_gstg(cloud, cam, gstg_config);
+    EXPECT_EQ(max_abs_diff(base.image, gstg.image), 0.0f);
+    EXPECT_EQ(base.counters.sort_pairs, 0u);
+    EXPECT_EQ(base.counters.alpha_computations, gstg.counters.alpha_computations);
+    EXPECT_EQ(base.quality.measured, mode == PipelineMode::kVerify);
+    EXPECT_EQ(base.quality.psnr, gstg.quality.psnr);
+  }
 }
 
 class TileSizeSweepTest : public ::testing::TestWithParam<int> {};

@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "../test_helpers.h"
-#include "render/pipeline.h"
+#include "core/pipeline.h"
 #include "scene/scene.h"
 
 namespace gstg {
@@ -146,8 +146,8 @@ WorkloadSums sums(const FrameWorkload& w) {
 
 TEST(Workload, TileSortedWorkloadsMatchRenderBaseline) {
   // The baseline and GSCore workloads are read from GS-TG frames at r = 1;
-  // render_baseline's own per-tile pipeline is the independent reference
-  // for the work they report.
+  // the per-tile reference pipeline of tests/test_helpers.h is the
+  // independent reference for the work they report.
   const Camera cam = make_camera(320, 240);
   const GaussianCloud cloud = testutil::make_random_cloud(2000, 111);
   for (const Boundary boundary : {Boundary::kEllipse, Boundary::kObb, Boundary::kAabb}) {
@@ -155,7 +155,7 @@ TEST(Workload, TileSortedWorkloadsMatchRenderBaseline) {
     bc.tile_size = 16;
     bc.boundary = boundary;
     bc.binning = BinningMode::kFlat;
-    const RenderCounters ref = render_baseline(cloud, cam, bc).counters;
+    const RenderCounters ref = testutil::reference_baseline(cloud, cam, bc).counters;
     const FrameWorkload w = build_tile_sorted_workload(cloud, cam, bc, "Baseline");
     const WorkloadSums got = sums(w);
     const std::string what = "boundary " + std::to_string(static_cast<int>(boundary));
@@ -172,7 +172,7 @@ TEST(Workload, TileSortedWorkloadsMatchRenderBaseline) {
   obb.tile_size = 16;
   obb.boundary = Boundary::kObb;
   obb.binning = BinningMode::kFlat;
-  const RenderCounters ref = render_baseline(cloud, cam, obb).counters;
+  const RenderCounters ref = testutil::reference_baseline(cloud, cam, obb).counters;
   const FrameWorkload gscore = build_gscore_workload(cloud, cam, 16);
   const WorkloadSums got = sums(gscore);
   EXPECT_EQ(got.sort_pairs, ref.sort_pairs);

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/pipeline.h"
-#include "render/pipeline.h"
 #include "scene/scene.h"
 #include "temporal/camera_path.h"
 #include "test_helpers.h"

@@ -1,6 +1,6 @@
 // Shared fixtures for renderer/core/sim tests: small deterministic clouds
-// and cameras that exercise the full pipeline quickly, and a scoped
-// environment-variable guard.
+// and cameras that exercise the full pipeline quickly, an independent
+// per-tile reference pipeline, and a scoped environment-variable guard.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -8,9 +8,15 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "camera/camera.h"
 #include "gaussian/cloud.h"
+#include "render/binning.h"
+#include "render/pipeline.h"
+#include "render/preprocess.h"
+#include "render/rasterize.h"
+#include "render/sort.h"
 
 namespace gstg::testutil {
 
@@ -45,6 +51,43 @@ inline GaussianCloud single_splat(Vec3 pos, Vec3 scale, float opacity, Vec3 rgb,
   GaussianCloud cloud(sh_degree);
   cloud.add_solid(pos, scale, Quat{}, opacity, rgb);
   return cloud;
+}
+
+/// The baseline per-tile pipeline (paper Fig. 1, exact blending) written
+/// out from the render/ stage calls: preprocess → bin_splats →
+/// sort_cell_lists → rasterize_all. It shares no frame code with Renderer,
+/// so it is the independent oracle for render_baseline (the r = 1 GS-TG
+/// frame) and for GS-TG's losslessness. Times stay zero.
+inline RenderResult reference_baseline(const GaussianCloud& cloud, const Camera& camera,
+                                       const RenderConfig& config) {
+  RenderResult result{Framebuffer(camera.width(), camera.height()), {}, {}, {}};
+  const std::vector<ProjectedSplat> splats =
+      preprocess(cloud, camera, config, result.counters);
+  BinnedSplats bins =
+      bin_splats(splats, CellGrid::over_image(camera.width(), camera.height(), config.tile_size),
+                 config.boundary, config.threads, result.counters, config.binning);
+  sort_cell_lists(bins, splats, config.threads, result.counters, config.sort_algo);
+  rasterize_all(bins, splats, result.image, config.threads, result.counters, config.simd);
+  return result;
+}
+
+/// Expects every RenderCounters field of `got` to equal `want` exactly.
+inline void expect_counters_equal(const RenderCounters& want, const RenderCounters& got) {
+  EXPECT_EQ(want.input_gaussians, got.input_gaussians);
+  EXPECT_EQ(want.visible_gaussians, got.visible_gaussians);
+  EXPECT_EQ(want.boundary_tests, got.boundary_tests);
+  EXPECT_EQ(want.tile_pairs, got.tile_pairs);
+  EXPECT_EQ(want.coarse_pairs, got.coarse_pairs);
+  EXPECT_EQ(want.splats_multi_tile, got.splats_multi_tile);
+  EXPECT_EQ(want.sort_pairs, got.sort_pairs);
+  EXPECT_EQ(want.sort_comparison_volume, got.sort_comparison_volume);
+  EXPECT_EQ(want.alpha_computations, got.alpha_computations);
+  EXPECT_EQ(want.blend_ops, got.blend_ops);
+  EXPECT_EQ(want.early_exit_pixels, got.early_exit_pixels);
+  EXPECT_EQ(want.pixel_list_work, got.pixel_list_work);
+  EXPECT_EQ(want.total_pixels, got.total_pixels);
+  EXPECT_EQ(want.bitmask_tests, got.bitmask_tests);
+  EXPECT_EQ(want.filter_checks, got.filter_checks);
 }
 
 /// Restores one environment variable on scope exit, so a failing test
