@@ -8,7 +8,7 @@
 // ResidencyMode::kVerify audit. Writes BENCH_dataset.json — the record CI
 // archives and gates (scripts/check_bench.py --dataset).
 //
-// Like run_all and bench_binning, this only needs the project libraries,
+// Like run_all, this only needs the project libraries,
 // so it always builds. A verify failure, a streamed/up-front image
 // divergence, or the compression gate (resident bytes must be at least 2x
 // smaller than float32) exits with code 2 so CI's bench step goes red.

@@ -139,36 +139,6 @@ GroupSortTiming time_group_sort(const Scene& scene, int repeat, std::size_t thre
   return t;
 }
 
-/// Flat vs hierarchical binning A/B on the baseline tile grid: the
-/// boundary-test reduction the coarse-to-fine pass delivers per scene.
-/// bench_binning audits the same comparison in depth (bit-identity, all
-/// three boundaries) and gates it; this is the per-scene summary line.
-struct BinningReduction {
-  std::size_t flat_tests = 0;
-  std::size_t hier_tests = 0;
-  std::size_t coarse_pairs = 0;
-};
-
-BinningReduction measure_binning(const Scene& scene, std::size_t threads) {
-  RenderConfig config;
-  config.tile_size = 16;
-  config.boundary = Boundary::kEllipse;
-  config.threads = threads;
-  RenderCounters pre_counters;
-  const std::vector<ProjectedSplat> splats =
-      preprocess(scene.cloud, scene.camera, config, pre_counters);
-  const CellGrid grid =
-      CellGrid::over_image(scene.camera.width(), scene.camera.height(), config.tile_size);
-  BinningReduction r;
-  RenderCounters flat, hier;
-  bin_splats(splats, grid, config.boundary, threads, flat, BinningMode::kFlat);
-  bin_splats(splats, grid, config.boundary, threads, hier, BinningMode::kHierarchical);
-  r.flat_tests = flat.boundary_tests;
-  r.hier_tests = hier.boundary_tests;
-  r.coarse_pairs = hier.coarse_pairs;
-  return r;
-}
-
 bool run_software(const std::vector<std::string>& scenes, int repeat, std::size_t threads,
                   const std::string& path) {
   bool lossless_ok = true;
@@ -234,19 +204,6 @@ bool run_software(const std::vector<std::string>& scenes, int repeat, std::size_
     json.value("radix_ms", gs.radix_ms);
     json.value("speedup_auto_vs_comparison",
                gs.auto_ms > 0.0 ? gs.comparison_ms / gs.auto_ms : 0.0);
-    json.close_object();
-
-    // Coarse-to-fine binning A/B: the boundary-test reduction hierarchical
-    // binning delivers on this scene's tile grid (bench_binning gates it).
-    const BinningReduction br = measure_binning(scene, threads);
-    json.open_object("binning");
-    json.value("boundary_tests_flat", br.flat_tests);
-    json.value("boundary_tests_hier", br.hier_tests);
-    json.value("coarse_pairs", br.coarse_pairs);
-    json.value("test_reduction",
-               br.flat_tests > 0
-                   ? 1.0 - static_cast<double>(br.hier_tests) / static_cast<double>(br.flat_tests)
-                   : 0.0);
     json.close_object();
 
     // Compressed residency A/B: the fp16 resident form halves the resident

@@ -25,14 +25,6 @@ What is compared, and why:
     a sorts-avoided ratio that was positive must stay positive, and the
     kVerify / bit-identity flags are hard failures.
 
-  * Binning records (--binning/--binning-baseline pair of
-    BENCH_binning.json files): per scene and boundary method, the flat and
-    hierarchical boundary-test counts, the coarse CSR volume, and the
-    test-reduction ratio are machine-independent and must stay within
-    tolerance; the flat-vs-hierarchical bit-identity and kVerify flags, and
-    the fresh run's reduction_ok gate (>= 20% fewer boundary tests on the
-    largest scene), are hard failures.
-
   * Render-service records (--service/--service-baseline pair of
     BENCH_service.json files): per scene, the request/cache totals and the
     per-session reuse-pair ratio of the fixed multi-client workload are
@@ -91,8 +83,6 @@ Usage:
                  [--temporal-baseline=<baseline BENCH_temporal.json>]
                  [--service=<fresh BENCH_service.json>]
                  [--service-baseline=<baseline BENCH_service.json>]
-                 [--binning=<fresh BENCH_binning.json>]
-                 [--binning-baseline=<baseline BENCH_binning.json>]
                  [--dataset=<fresh BENCH_dataset.json>]
                  [--dataset-baseline=<baseline BENCH_dataset.json>]
                  [--quality=<fresh BENCH_quality.json>]
@@ -125,15 +115,6 @@ SERVICE_TIME_KEYS = [
     "throughput_fps_4client",
     "scaling_1_to_4",
 ]
-
-BINNING_COUNTER_KEYS = [
-    "tile_pairs",
-    "boundary_tests_flat",
-    "boundary_tests_hier",
-    "coarse_pairs",
-    "splats_multi_tile",
-]
-BINNING_RATIO_KEYS = ["test_reduction"]
 
 DATASET_FIXTURE_KEYS = ["gaussians", "cameras"]
 DATASET_COUNTER_KEYS = [
@@ -288,48 +269,6 @@ def compare_temporal(gate, fresh, baseline):
                 where,
                 new.get("identical_to_off") in (True, "true"),
                 "temporal output diverged from the per-frame renderer",
-            )
-
-
-def compare_binning(gate, fresh, baseline):
-    """Gates a fresh BENCH_binning.json against the committed baseline."""
-    if fresh.get("scale", {}) != baseline.get("scale", {}):
-        gate.require(
-            "binning",
-            False,
-            f"scale mismatch (fresh {fresh.get('scale')} vs baseline {baseline.get('scale')})",
-        )
-        return
-    gate.require(
-        "binning",
-        fresh.get("reduction_ok") in (True, "true"),
-        "hierarchical binning no longer cuts boundary tests by >= 20% on the largest scene",
-    )
-    fresh_scenes = {s["scene"]: s for s in fresh.get("scenes", [])}
-    for scene in baseline.get("scenes", []):
-        name = scene["scene"]
-        if name not in fresh_scenes:
-            gate.require(f"binning.{name}", False, "scene missing from fresh output")
-            continue
-        fresh_bounds = {b["boundary"]: b for b in fresh_scenes[name].get("boundaries", [])}
-        for base_bound in scene.get("boundaries", []):
-            kind = base_bound["boundary"]
-            where = f"binning.{name}.{kind}"
-            if kind not in fresh_bounds:
-                gate.require(where, False, "boundary method missing from fresh output")
-                continue
-            new = fresh_bounds[kind]
-            compare_section(gate, where, new, base_bound, BINNING_COUNTER_KEYS)
-            compare_section(gate, where, new, base_bound, BINNING_RATIO_KEYS)
-            gate.require(
-                where,
-                new.get("identical") in (True, "true"),
-                "hierarchical binning diverged from flat binning (hit sets differ)",
-            )
-            gate.require(
-                where,
-                new.get("verify_ok") in (True, "true"),
-                "kVerify found a hierarchical CSR that is not bit-identical to flat",
             )
 
 
@@ -578,8 +517,6 @@ def main(argv):
     temporal_baseline_path = None
     service_fresh_path = None
     service_baseline_path = None
-    binning_fresh_path = None
-    binning_baseline_path = None
     dataset_fresh_path = None
     dataset_baseline_path = None
     quality_fresh_path = None
@@ -601,10 +538,6 @@ def main(argv):
             service_fresh_path = opt.split("=", 1)[1]
         elif opt.startswith("--service-baseline="):
             service_baseline_path = opt.split("=", 1)[1]
-        elif opt.startswith("--binning="):
-            binning_fresh_path = opt.split("=", 1)[1]
-        elif opt.startswith("--binning-baseline="):
-            binning_baseline_path = opt.split("=", 1)[1]
         elif opt.startswith("--dataset="):
             dataset_fresh_path = opt.split("=", 1)[1]
         elif opt.startswith("--dataset-baseline="):
@@ -629,9 +562,6 @@ def main(argv):
         return 1
     if (service_fresh_path is None) != (service_baseline_path is None):
         print("check_bench: --service and --service-baseline must be given together")
-        return 1
-    if (binning_fresh_path is None) != (binning_baseline_path is None):
-        print("check_bench: --binning and --binning-baseline must be given together")
         return 1
     if (dataset_fresh_path is None) != (dataset_baseline_path is None):
         print("check_bench: --dataset and --dataset-baseline must be given together")
@@ -733,13 +663,6 @@ def main(argv):
         with open(service_baseline_path) as f:
             service_baseline = json.load(f)
         compare_service(gate, service_fresh, service_baseline, check_times)
-
-    if binning_fresh_path is not None:
-        with open(binning_fresh_path) as f:
-            binning_fresh = json.load(f)
-        with open(binning_baseline_path) as f:
-            binning_baseline = json.load(f)
-        compare_binning(gate, binning_fresh, binning_baseline)
 
     if dataset_fresh_path is not None:
         with open(dataset_fresh_path) as f:

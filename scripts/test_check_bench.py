@@ -6,7 +6,7 @@ directory, runs check_bench.py as a subprocess (the same way CI invokes it)
 and asserts on the exit code and the violation text. Covers: the identity
 run, the +/-15% counter tolerance (both sides), --tolerance, hard
 correctness flags (lossless, batch/simd/residency identity, temporal /
-binning / dataset / quality / telemetry / service gates), the exact
+dataset / quality / telemetry / service gates), the exact
 accelerator-model gate (hardware), scale mismatch,
 missing scenes/fields, wall-clock skipping vs --check-times, and CLI
 contract errors (unpaired section flags, unknown options).
@@ -77,25 +77,6 @@ def temporal_doc():
         "identical_to_off": True,
     }
     return {"scale": dict(SCALE), "scenes": [{"scene": "orbit", "paths": [path]}]}
-
-
-def binning_doc():
-    bound = {
-        "boundary": "obb",
-        "tile_pairs": 5000,
-        "boundary_tests_flat": 20000,
-        "boundary_tests_hier": 9000,
-        "coarse_pairs": 1200,
-        "splats_multi_tile": 400,
-        "test_reduction": 0.55,
-        "identical": True,
-        "verify_ok": True,
-    }
-    return {
-        "scale": dict(SCALE),
-        "reduction_ok": True,
-        "scenes": [{"scene": "orbit", "boundaries": [bound]}],
-    }
 
 
 def dataset_doc():
@@ -384,30 +365,6 @@ class CheckBenchTest(unittest.TestCase):
         self.assert_fails(
             self.section_gate("temporal", fresh, base, "--tolerance=10.0"),
             "sorts-avoided ratio dropped to zero")
-
-    def test_binning_reduction_gate_fails(self):
-        fresh = binning_doc()
-        fresh["reduction_ok"] = False
-        self.assert_fails(self.section_gate("binning", fresh, binning_doc()),
-                          "no longer cuts boundary tests")
-
-    def test_binning_identity_flag_fails(self):
-        fresh = binning_doc()
-        fresh["scenes"][0]["boundaries"][0]["identical"] = False
-        self.assert_fails(self.section_gate("binning", fresh, binning_doc()),
-                          "hierarchical binning diverged")
-
-    def test_binning_counter_drift_fails(self):
-        fresh = binning_doc()
-        fresh["scenes"][0]["boundaries"][0]["boundary_tests_hier"] = 15000
-        self.assert_fails(self.section_gate("binning", fresh, binning_doc()),
-                          "binning.orbit.obb.boundary_tests_hier")
-
-    def test_binning_scale_mismatch_fails(self):
-        fresh = binning_doc()
-        fresh["scale"] = {"name": "full"}
-        self.assert_fails(self.section_gate("binning", fresh, binning_doc()),
-                          "scale mismatch")
 
     def test_dataset_compression_gate_fails(self):
         fresh = dataset_doc()

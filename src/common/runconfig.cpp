@@ -33,20 +33,6 @@ const char* to_string(TemporalMode mode) {
   return "?";
 }
 
-const char* to_string(BinningMode mode) {
-  switch (mode) {
-    case BinningMode::kFlat:
-      return "flat";
-    case BinningMode::kHierarchical:
-      return "hierarchical";
-    case BinningMode::kAuto:
-      return "auto";
-    case BinningMode::kVerify:
-      return "verify";
-  }
-  return "?";
-}
-
 const char* to_string(ResidencyMode mode) {
   switch (mode) {
     case ResidencyMode::kFloat32:
@@ -90,12 +76,6 @@ Mode parse_mode(const char* name, Mode configured, const std::array<Mode, N>& mo
 }
 
 }  // namespace
-
-BinningMode mode_from_env(const char* name, BinningMode configured) {
-  return parse_mode(name, configured,
-                    std::array{BinningMode::kFlat, BinningMode::kHierarchical, BinningMode::kAuto,
-                               BinningMode::kVerify});
-}
 
 PipelineMode mode_from_env(const char* name, PipelineMode configured) {
   return parse_mode(name, configured,

@@ -19,7 +19,6 @@ namespace gstg {
 /// (tools/lint/gstg_lint.py) enforces both, so a new knob cannot ship
 /// undocumented or unregistered. Keep the list sorted.
 inline constexpr const char* kGstgEnvVars[] = {
-    "GSTG_BINNING",           // resolve_from_env (flat/hierarchical/auto/verify)
     "GSTG_METRICS",           // telemetry: metrics JSON written at process exit
     "GSTG_PIPELINE",          // resolve_from_env (exact/sortless/verify)
     "GSTG_RESIDENCY",         // resolve_from_env (float32/compressed/verify)
@@ -88,22 +87,8 @@ enum class TemporalMode : std::uint8_t { kOff, kReuse, kVerify };
 
 [[nodiscard]] const char* to_string(TemporalMode mode);
 
-/// Binning strategy of the tile/group identification pass
-/// (src/render/binning.h). Lives here, next to the other run modes, so the
-/// render config can carry the knob without a layering cycle.
-///   kFlat         — one boundary test per fine-cell candidate (the
-///                   original single-level pass)
-///   kHierarchical — coarse cells first, then expansion of the non-empty
-///                   coarse cells into the fine CSR lists; identical hit
-///                   sets, fewer boundary tests
-///   kAuto         — hierarchical on grids large enough to amortise the
-///                   coarse pass, flat otherwise (the default)
-///   kVerify       — hierarchical, plus a flat reference run asserting the
-///                   CSR output is bit-identical after the canonical
-///                   (depth, index) per-cell sort (the audit mode)
-enum class BinningMode : std::uint8_t { kFlat, kHierarchical, kAuto, kVerify };
-
-[[nodiscard]] const char* to_string(BinningMode mode);
+/// Read by nothing; it stays only so that perfbench/ builds unchanged.
+enum class BinningMode : std::uint8_t { kAuto };
 
 /// Resident representation of the Gaussian cloud inside the renderer
 /// (gaussian/compressed.h). Lives here, next to the other run modes, so
@@ -145,12 +130,11 @@ enum class PipelineMode : std::uint8_t { kExact, kSortless, kVerify };
 /// variable `name` is unset, the mode whose to_string() spells its value
 /// otherwise, and throws ConfigError naming the variable, the value and
 /// the accepted values for anything else.
-[[nodiscard]] BinningMode mode_from_env(const char* name, BinningMode configured);
 [[nodiscard]] PipelineMode mode_from_env(const char* name, PipelineMode configured);
 [[nodiscard]] ResidencyMode mode_from_env(const char* name, ResidencyMode configured);
 [[nodiscard]] TemporalMode mode_from_env(const char* name, TemporalMode configured);
 
-/// Applies GSTG_BINNING, GSTG_PIPELINE, GSTG_RESIDENCY and GSTG_TEMPORAL to
+/// Applies GSTG_PIPELINE, GSTG_RESIDENCY and GSTG_TEMPORAL to
 /// the matching fields of a render config (core/gstg_config.h's GsTgConfig;
 /// a template only so this layer needs no core header). Only process edges
 /// call it — the examples' mains and the RenderService constructor — on the
@@ -159,7 +143,6 @@ enum class PipelineMode : std::uint8_t { kExact, kSortless, kVerify };
 /// render_baseline renders exactly the config it is given.
 template <class Config>
 [[nodiscard]] Config resolve_from_env(Config config) {
-  config.binning = mode_from_env("GSTG_BINNING", config.binning);
   config.pipeline = mode_from_env("GSTG_PIPELINE", config.pipeline);
   config.residency = mode_from_env("GSTG_RESIDENCY", config.residency);
   config.temporal = mode_from_env("GSTG_TEMPORAL", config.temporal);

@@ -17,8 +17,7 @@ namespace gstg {
 BinnedSplats identify_groups(std::span<const ProjectedSplat> splats, const CellGrid& group_grid,
                              const GsTgConfig& config, RenderCounters& counters) {
   config.validate();
-  return bin_splats(splats, group_grid, config.group_boundary, config.threads, counters,
-                    config.binning);
+  return bin_splats(splats, group_grid, config.group_boundary, config.threads, counters);
 }
 
 void generate_bitmasks_into(std::span<const ProjectedSplat> splats,

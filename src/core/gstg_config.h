@@ -16,8 +16,8 @@ namespace gstg {
 /// supports up to 64 tiles per group to cover the Fig. 11 sweep (8+64).
 using TileMask = std::uint64_t;
 
-/// The renderers use a config exactly as given. The four mode fields
-/// (binning, pipeline, residency, temporal) have GSTG_* environment
+/// The renderers use a config exactly as given. The three mode fields
+/// (pipeline, residency, temporal) have GSTG_* environment
 /// overrides that only process edges apply, through resolve_from_env
 /// (common/runconfig.h); the library never reads them.
 struct GsTgConfig {
@@ -42,12 +42,7 @@ struct GsTgConfig {
   /// happens when the cached order is provably the sorted order, and kVerify
   /// re-sorts to audit that proof.
   TemporalMode temporal = TemporalMode::kOff;
-  /// Tile/group identification strategy (render/binning.h): flat,
-  /// hierarchical coarse→fine, kAuto (hierarchical on large grids — the
-  /// default), or kVerify (hierarchical audited bit-identical against flat).
-  /// Applies to both the group identification pass and the baseline
-  /// comparison runs render_config() feeds; every mode produces identical hit
-  /// sets, so the lossless gate is unaffected.
+  /// Read by nothing; it stays only so that perfbench/ builds unchanged.
   BinningMode binning = BinningMode::kAuto;
   /// Resident-form policy of the compressed render path — only consulted by
   /// Renderer::render(const CompressedCloud&, ...): kCompressed (the default)
@@ -83,7 +78,6 @@ struct GsTgConfig {
     rc.opacity_aware_rho = opacity_aware_rho;
     rc.sort_algo = sort_algo;
     rc.simd = simd;
-    rc.binning = binning;
     rc.pipeline = pipeline;
     rc.threads = threads;
     return rc;
@@ -161,7 +155,6 @@ struct GsTgConfig {
   config.opacity_aware_rho = rc.opacity_aware_rho;
   config.sort_algo = rc.sort_algo;
   config.simd = rc.simd;
-  config.binning = rc.binning;
   config.pipeline = rc.pipeline;
   config.threads = rc.threads;
   return config;

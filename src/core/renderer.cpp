@@ -111,7 +111,7 @@ void begin(const GsTgConfig& config, const Cloud& cloud, const Camera& camera, F
   {
     GSTG_SPAN("binning");
     bin_splats_into(ctx.splats, ctx.frame.group_grid, config.group_boundary, config.threads,
-                    ctx.counters, ctx.frame.group_bins, ctx.binning, config.binning);
+                    ctx.counters, ctx.frame.group_bins, ctx.binning);
   }
   ctx.times.preprocess_ms = timer.lap_ms();
 

@@ -89,8 +89,7 @@ inline constexpr float kSortlessDepthBeta = 6.0f;
 /// transmittance) tile kernel. Accumulation is int64 fixed point — each
 /// (pixel, splat) contribution is quantized once and integer sums are
 /// associative/commutative — so the blended image is bit-identical across
-/// thread counts, SIMD backends AND splat-list orders, even though
-/// hierarchical binning emits its per-cell lists in an unspecified order.
+/// thread counts, SIMD backends AND splat-list orders.
 struct SortlessRasterScratch {
   std::vector<float> px;               ///< one row of pixel-centre x, lane-padded
   std::vector<std::int64_t> acc_w;     ///< Σ Q30(alpha * depth_weight)

@@ -36,11 +36,7 @@ struct RenderConfig {
   /// (kAuto = widest verified, overridable via GSTG_SIMD) and exponential
   /// mode (kExact keeps bit-identity with the scalar path, the default).
   SimdPolicy simd;
-  /// Tile-identification strategy (render/binning.h): flat single-level
-  /// binning, the hierarchical coarse→fine pass, kAuto (hierarchical on
-  /// large grids — the default), or kVerify (hierarchical audited
-  /// bit-identical against flat). Every mode produces identical per-cell
-  /// hit sets.
+  /// Read by nothing; it stays only so that perfbench/ builds unchanged.
   BinningMode binning = BinningMode::kAuto;
   /// Blending discipline (common/runconfig.h): kExact depth-sorts per
   /// tile, kSortless skips the per-tile sort and blends with
@@ -93,9 +89,6 @@ struct RenderCounters {
   std::size_t visible_gaussians = 0;   ///< after frustum culling
   std::size_t boundary_tests = 0;      ///< tile/group-rect intersection tests
   std::size_t tile_pairs = 0;          ///< Σ over splats of intersected tiles
-  /// (splat, coarse-cell) records emitted by hierarchical binning — the
-  /// intermediate CSR volume of the two-level pass (zero when binning flat).
-  std::size_t coarse_pairs = 0;
   std::size_t splats_multi_tile = 0;   ///< visible splats hitting >= 2 tiles
   std::size_t sort_pairs = 0;          ///< total entries across per-tile/group sort lists
   /// Sorting-work proxy: comparison sorts account a list of n entries as
@@ -143,7 +136,6 @@ struct RenderCounters {
     visible_gaussians += other.visible_gaussians;
     boundary_tests += other.boundary_tests;
     tile_pairs += other.tile_pairs;
-    coarse_pairs += other.coarse_pairs;
     splats_multi_tile += other.splats_multi_tile;
     sort_pairs += other.sort_pairs;
     sort_comparison_volume += other.sort_comparison_volume;

@@ -20,14 +20,6 @@ constexpr std::size_t kIndexBytes = 4;
 constexpr std::size_t kFeatureEntryBytes = kFeatureScalars * kBytesPerScalar + kIndexBytes;
 constexpr std::size_t kFramebufferBytesPerPixel = 3;  // 8-bit RGB out
 
-/// The r = 1 frame of a tile-sorted pipeline, binned flat so its boundary
-/// tests are the flat per-tile pass's.
-GsTgConfig flat_tile_sorted_config(const RenderConfig& rc) {
-  GsTgConfig config = tile_sorted_config(rc);
-  config.binning = BinningMode::kFlat;
-  return config;
-}
-
 /// Renders one exact frame of `config` into `ctx` and reads the work every
 /// design shares from it: a sort unit per group list, a raster unit per
 /// tile (its list length and measured tile-kernel stats), and the fp16
@@ -143,7 +135,7 @@ FrameWorkload build_gstg_workload(const GaussianCloud& cloud, const Camera& came
 FrameWorkload build_tile_sorted_workload(const GaussianCloud& cloud, const Camera& camera,
                                          const RenderConfig& config, const std::string& design) {
   FrameContext ctx;
-  return render_workload(cloud, camera, flat_tile_sorted_config(config), design, ctx);
+  return render_workload(cloud, camera, tile_sorted_config(config), design, ctx);
 }
 
 // GSCore workload model (Lee et al., ASPLOS 2024), built from the paper's
@@ -167,7 +159,7 @@ FrameWorkload build_gscore_workload(const GaussianCloud& cloud, const Camera& ca
   config.boundary = Boundary::kObb;  // GSCore's shape-aware intersection test
   FrameContext ctx;
   FrameWorkload w =
-      render_workload(cloud, camera, flat_tile_sorted_config(config), "GSCore", ctx);
+      render_workload(cloud, camera, tile_sorted_config(config), "GSCore", ctx);
 
   const CellGrid& grid = ctx.frame.tile_grid;
   for (std::size_t t = 0; t < w.tiles.size(); ++t) {

@@ -3,8 +3,8 @@
 // single exact Renderer frame (core/renderer.h) and reads its products —
 // the sorted group lists, the tile lists and the per-tile raster stats —
 // instead of running a pipeline of its own. The baseline and GSCore frames
-// are GS-TG frames at r = 1 (group_size == tile_size, equal boundaries,
-// flat binning), whose group lists are the per-tile sorted lists. Using
+// are GS-TG frames at r = 1 (group_size == tile_size, equal boundaries),
+// whose group lists are the per-tile sorted lists. Using
 // measured workloads (real list lengths, real alpha-evaluation counts
 // including early exit) keeps the simulator faithful to the actual
 // rendering work of a scene rather than to analytic approximations.

@@ -1,7 +1,7 @@
 // Malformed-environment corpus: numeric env overrides must validate the
 // entire value. GSTG_THREADS=abc used to silently fall back to hardware
 // concurrency and GSTG_THREADS=8garbage used to be accepted as 8; both are
-// now errors that name the variable. The four mode knobs resolve through
+// now errors that name the variable. The three mode knobs resolve through
 // one strict parser (resolve_from_env) that throws ConfigError likewise.
 #include <gtest/gtest.h>
 
@@ -84,7 +84,6 @@ struct KnobCase {
 void PrintTo(const KnobCase& knob, std::ostream* os) { *os << knob.var << "=" << knob.value; }
 
 const char* resolved_field(const GsTgConfig& config, const std::string& var) {
-  if (var == "GSTG_BINNING") return to_string(config.binning);
   if (var == "GSTG_PIPELINE") return to_string(config.pipeline);
   if (var == "GSTG_RESIDENCY") return to_string(config.residency);
   return to_string(config.temporal);
@@ -120,12 +119,7 @@ TEST_P(ResolveFromEnvTest, AppliesValidValuesAndRejectsUnknownOnes) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModeKnobs, ResolveFromEnvTest,
-    ::testing::Values(KnobCase{"GSTG_BINNING", "flat", "flat"},
-                      KnobCase{"GSTG_BINNING", "hierarchical", "hierarchical"},
-                      KnobCase{"GSTG_BINNING", "auto", "auto"},
-                      KnobCase{"GSTG_BINNING", "verify", "verify"},
-                      KnobCase{"GSTG_BINNING", "Flat", nullptr},
-                      KnobCase{"GSTG_PIPELINE", "exact", "exact"},
+    ::testing::Values(KnobCase{"GSTG_PIPELINE", "exact", "exact"},
                       KnobCase{"GSTG_PIPELINE", "sortless", "sortless"},
                       KnobCase{"GSTG_PIPELINE", "verify", "verify"},
                       KnobCase{"GSTG_PIPELINE", "definitely-not-a-mode", nullptr},

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -333,8 +334,7 @@ TEST(Grouping, GroupPairsFarFewerThanTilePairs) {
 TEST(Grouping, AdversarialFootprintsSurviveGroupingAndBitmasks) {
   // Degenerate splats through the group-granularity callers of the
   // candidate-cell math: identify_groups and generate_bitmasks_into must not
-  // perform unclamped float→int casts (UBSan) and must agree between flat
-  // and hierarchical group binning.
+  // perform unclamped float→int casts (UBSan).
   constexpr float nan = std::numeric_limits<float>::quiet_NaN();
   constexpr float inf = std::numeric_limits<float>::infinity();
   const auto splat = [](Vec2 center, Sym2 cov, float rho, std::uint32_t index) {
@@ -359,14 +359,16 @@ TEST(Grouping, AdversarialFootprintsSurviveGroupingAndBitmasks) {
   const CellGrid group_grid = CellGrid::over_image(128, 96, 64);
 
   GsTgConfig config;
-  config.binning = BinningMode::kFlat;
   RenderCounters cf;
   const BinnedSplats flat = identify_groups(splats, group_grid, config, cf);
-  config.binning = BinningMode::kVerify;  // hierarchical + flat identity audit
-  RenderCounters ch;
-  const BinnedSplats hier = identify_groups(splats, group_grid, config, ch);
-  EXPECT_EQ(cf.tile_pairs, ch.tile_pairs);
-  ASSERT_EQ(flat.offsets, hier.offsets);
+  for (int g = 0; g < group_grid.cell_count(); ++g) {
+    const auto list = flat.cell_list(g);
+    EXPECT_NE(std::find(list.begin(), list.end(), 0u), list.end()) << "group " << g;
+    EXPECT_EQ(std::find_if(list.begin(), list.end(),
+                           [](std::uint32_t id) { return id == 1 || id == 2; }),
+              list.end())
+        << "group " << g << " lists a NaN splat";
+  }
 
   // Bitmask generation walks candidate_cells per entry; the huge-rho splat
   // must cover every tile of every group it reached.
@@ -379,6 +381,35 @@ TEST(Grouping, AdversarialFootprintsSurviveGroupingAndBitmasks) {
       EXPECT_NE(masks[e], 0u) << "entry " << e;
     }
   }
+}
+
+TEST(Grouping, LargeGridListsAscendingAtEveryThreadCount) {
+  // The baseline's r = 1 grid at 1024x768 has 3072 cells. Group
+  // identification on it, with the default config, lists every cell's
+  // splats in ascending splat order, and 4 threads give the 1-thread CSR.
+  // 20000 splats keep the 4 workers' chunks long enough to overlap.
+  const Camera cam = make_camera(1024, 768);
+  const GaussianCloud cloud = testutil::make_random_cloud(20000, 89);
+  GsTgConfig config = tile_sorted_config(RenderConfig{});
+  RenderCounters pc;
+  const auto splats = preprocess(cloud, cam, config.render_config(), pc);
+  ASSERT_GE(splats.size(), 10000u);
+  const CellGrid grid = CellGrid::over_image(cam.width(), cam.height(), config.group_size);
+  ASSERT_GE(grid.cell_count(), 512);
+
+  config.threads = 4;
+  RenderCounters c4;
+  const BinnedSplats four = identify_groups(splats, grid, config, c4);
+  for (int c = 0; c < grid.cell_count(); ++c) {
+    const auto list = four.cell_list(c);
+    ASSERT_EQ(std::adjacent_find(list.begin(), list.end(), std::greater_equal<>()), list.end())
+        << "cell " << c << " is not in strictly ascending splat order";
+  }
+  config.threads = 1;
+  RenderCounters c1;
+  const BinnedSplats one = identify_groups(splats, grid, config, c1);
+  EXPECT_EQ(four.offsets, one.offsets);
+  EXPECT_EQ(four.splat_ids, one.splat_ids);
 }
 
 TEST(Grouping, MismatchedMaskArrayThrows) {

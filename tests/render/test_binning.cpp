@@ -113,20 +113,18 @@ TEST(BinSplats, CsrIsConsistent) {
   RenderCounters pc;
   const auto splats = preprocess(cloud, cam, RenderConfig{}, pc);
   const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), 32);
-  for (const BinningMode m : {BinningMode::kFlat, BinningMode::kHierarchical}) {
-    RenderCounters counters;
-    const BinnedSplats bins = bin_splats(splats, g, Boundary::kEllipse, 0, counters, m);
+  RenderCounters counters;
+  const BinnedSplats bins = bin_splats(splats, g, Boundary::kEllipse, 0, counters);
 
-    ASSERT_EQ(bins.offsets.size(), static_cast<std::size_t>(g.cell_count()) + 1);
-    EXPECT_EQ(bins.offsets.front(), 0u);
-    EXPECT_EQ(bins.offsets.back(), bins.splat_ids.size());
-    EXPECT_EQ(bins.splat_ids.size(), counters.tile_pairs);
-    for (std::size_t c = 0; c + 1 < bins.offsets.size(); ++c) {
-      EXPECT_LE(bins.offsets[c], bins.offsets[c + 1]);
-    }
-    for (const std::uint32_t id : bins.splat_ids) {
-      EXPECT_LT(id, splats.size());
-    }
+  ASSERT_EQ(bins.offsets.size(), static_cast<std::size_t>(g.cell_count()) + 1);
+  EXPECT_EQ(bins.offsets.front(), 0u);
+  EXPECT_EQ(bins.offsets.back(), bins.splat_ids.size());
+  EXPECT_EQ(bins.splat_ids.size(), counters.tile_pairs);
+  for (std::size_t c = 0; c + 1 < bins.offsets.size(); ++c) {
+    EXPECT_LE(bins.offsets[c], bins.offsets[c + 1]);
+  }
+  for (const std::uint32_t id : bins.splat_ids) {
+    EXPECT_LT(id, splats.size());
   }
 }
 
@@ -138,10 +136,10 @@ TEST(BinSplats, DeterministicSetAcrossThreadCounts) {
   ASSERT_GE(splats.size(), 256u);  // enough splats for the passes to run in parallel
   const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), 16);
 
-  // Flat: the identical CSR at every thread count, each cell in ascending
-  // splat order.
+  // The identical CSR at every thread count, each cell in ascending splat
+  // order.
   RenderCounters c1;
-  const BinnedSplats f1 = bin_splats(splats, g, Boundary::kEllipse, 1, c1, BinningMode::kFlat);
+  const BinnedSplats f1 = bin_splats(splats, g, Boundary::kEllipse, 1, c1);
   for (int c = 0; c < g.cell_count(); ++c) {
     const auto list = f1.cell_list(c);
     EXPECT_TRUE(std::adjacent_find(list.begin(), list.end(), std::greater_equal<>()) ==
@@ -150,30 +148,12 @@ TEST(BinSplats, DeterministicSetAcrossThreadCounts) {
   }
   for (const std::size_t threads : {2, 4}) {
     RenderCounters ct;
-    const BinnedSplats ft =
-        bin_splats(splats, g, Boundary::kEllipse, threads, ct, BinningMode::kFlat);
+    const BinnedSplats ft = bin_splats(splats, g, Boundary::kEllipse, threads, ct);
     EXPECT_EQ(ct.tile_pairs, c1.tile_pairs);
     EXPECT_EQ(ct.boundary_tests, c1.boundary_tests);
     EXPECT_EQ(ct.splats_multi_tile, c1.splats_multi_tile);
     EXPECT_EQ(ft.offsets, f1.offsets) << threads << " threads";
     EXPECT_EQ(ft.splat_ids, f1.splat_ids) << threads << " threads";
-  }
-
-  // Hierarchical: per-cell sets equal (its coarse scatter leaves the order
-  // within a cell unspecified before sorting).
-  RenderCounters h1c, h4c;
-  const BinnedSplats h1 =
-      bin_splats(splats, g, Boundary::kEllipse, 1, h1c, BinningMode::kHierarchical);
-  const BinnedSplats h4 =
-      bin_splats(splats, g, Boundary::kEllipse, 4, h4c, BinningMode::kHierarchical);
-  EXPECT_EQ(h1c.tile_pairs, h4c.tile_pairs);
-  EXPECT_EQ(h1c.boundary_tests, h4c.boundary_tests);
-  EXPECT_EQ(h1c.coarse_pairs, h4c.coarse_pairs);
-  ASSERT_EQ(h1.offsets, h4.offsets);
-  for (int c = 0; c < g.cell_count(); ++c) {
-    std::multiset<std::uint32_t> s1(h1.cell_list(c).begin(), h1.cell_list(c).end());
-    std::multiset<std::uint32_t> s4(h4.cell_list(c).begin(), h4.cell_list(c).end());
-    EXPECT_EQ(s1, s4);
   }
 }
 

@@ -1,5 +1,5 @@
-// Adversarial footprint corpus and flat-vs-hierarchical identity sweep for
-// the binning stage. The corpus targets the pre-hardening failure modes:
+// Adversarial footprint corpus and per-cell reference sweep for the
+// binning stage. The corpus targets the pre-hardening failure modes:
 // unclamped float→int casts in candidate_cells (UB under UBSan for huge
 // rho), silent uint32 CSR prefix-sum wrap, and the int product overflow of
 // CellGrid::cell_count(). Runs under the ASan/UBSan and TSan presets via
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "../test_helpers.h"
@@ -84,22 +85,59 @@ std::vector<ProjectedSplat> adversarial_corpus() {
   return splats;
 }
 
-/// Canonical per-cell (depth, index) sort — the comparison kVerify uses.
-void canonicalize(BinnedSplats& bins, std::span<const ProjectedSplat> splats) {
-  const auto less = [&](std::uint32_t a, std::uint32_t b) {
-    const std::uint64_t ka = pack_depth_index_key(splats[a].depth, splats[a].index);
-    const std::uint64_t kb = pack_depth_index_key(splats[b].depth, splats[b].index);
-    return ka != kb ? ka < kb : a < b;
-  };
-  for (int c = 0; c < bins.grid.cell_count(); ++c) {
-    std::sort(bins.splat_ids.begin() + bins.offsets[c],
-              bins.splat_ids.begin() + bins.offsets[c + 1], less);
+/// The per-cell hit sets written out from their definition: cell c lists
+/// splat i iff c lies in candidate_cells(i) and either the boundary is AABB
+/// or the boundary predicate holds on tile_rect(c). Lists are in ascending i.
+BinnedSplats reference_bins(std::span<const ProjectedSplat> splats, const CellGrid& g,
+                            Boundary b) {
+  std::vector<std::vector<std::uint32_t>> lists(static_cast<std::size_t>(g.cell_count()));
+  for (std::uint32_t i = 0; i < splats.size(); ++i) {
+    const TileRange r = candidate_cells(splats[i], g);
+    const Ellipse e = splats[i].footprint();
+    for (int cy = r.ty0; cy < r.ty1; ++cy) {
+      for (int cx = r.tx0; cx < r.tx1; ++cx) {
+        const Rect rect = tile_rect(cx, cy, g.cell_size, g.image_width, g.image_height);
+        const bool hit = b == Boundary::kAabb  ? true
+                         : b == Boundary::kObb ? obb_intersects(Obb::from_ellipse(e), rect)
+                                               : ellipse_intersects(e, rect);
+        if (hit) lists[static_cast<std::size_t>(g.cell_index(cx, cy))].push_back(i);
+      }
+    }
   }
+  BinnedSplats bins;
+  bins.grid = g;
+  bins.offsets.push_back(0);
+  for (const auto& list : lists) {
+    bins.splat_ids.insert(bins.splat_ids.end(), list.begin(), list.end());
+    bins.offsets.push_back(static_cast<std::uint32_t>(bins.splat_ids.size()));
+  }
+  return bins;
 }
 
-void expect_identical(const BinnedSplats& a, const BinnedSplats& b, const char* what) {
-  ASSERT_EQ(a.offsets, b.offsets) << what;
-  EXPECT_EQ(a.splat_ids, b.splat_ids) << what;
+/// Bins `splats` over {AABB, OBB, Ellipse} x cell sizes {8, 16, 32, 64, 256}
+/// x threads {1, 4} and expects the CSR to equal reference_bins exactly —
+/// same lists, same order — with one boundary test per candidate cell.
+void expect_matches_reference(std::span<const ProjectedSplat> splats, int width, int height) {
+  for (const int cell : {8, 16, 32, 64, 256}) {
+    const CellGrid g = CellGrid::over_image(width, height, cell);
+    std::size_t candidates = 0;
+    for (const ProjectedSplat& splat : splats) {
+      candidates += static_cast<std::size_t>(candidate_cells(splat, g).count());
+    }
+    for (const Boundary b : {Boundary::kAabb, Boundary::kObb, Boundary::kEllipse}) {
+      const BinnedSplats want = reference_bins(splats, g, b);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(std::string(to_string(b)) + " cell " + std::to_string(cell) + " threads " +
+                     std::to_string(threads));
+        RenderCounters c;
+        const BinnedSplats got = bin_splats(splats, g, b, threads, c);
+        EXPECT_EQ(got.offsets, want.offsets);
+        EXPECT_EQ(got.splat_ids, want.splat_ids);
+        EXPECT_EQ(c.tile_pairs, want.splat_ids.size());
+        EXPECT_EQ(c.boundary_tests, candidates);
+      }
+    }
+  }
 }
 
 // --- candidate_cells hardening -------------------------------------------
@@ -263,40 +301,22 @@ TEST(BinningOverflow, TileRectFarIndicesStayFinite) {
   EXPECT_FLOAT_EQ(r.x1, 100.0f);  // clipped to the image
 }
 
-// --- adversarial corpus through both strategies ---------------------------
+// --- adversarial corpus against the per-cell reference -------------------
 
-TEST(BinningAdversarial, CorpusBinsIdenticallyInEveryModeAndBoundary) {
-  const std::vector<ProjectedSplat> splats = adversarial_corpus();
-  for (const int cell : {16, 64, 256}) {  // 256 > image: a 1×1-cell grid
-    const CellGrid g = CellGrid::over_image(128, 96, cell);
-    for (const Boundary b : {Boundary::kAabb, Boundary::kObb, Boundary::kEllipse}) {
-      RenderCounters cf, ch;
-      BinnedSplats flat = bin_splats(splats, g, b, 1, cf, BinningMode::kFlat);
-      BinnedSplats hier = bin_splats(splats, g, b, 1, ch, BinningMode::kHierarchical);
-      EXPECT_EQ(cf.tile_pairs, ch.tile_pairs) << to_string(b) << " cell " << cell;
-      EXPECT_EQ(cf.splats_multi_tile, ch.splats_multi_tile) << to_string(b);
-      canonicalize(flat, splats);
-      canonicalize(hier, splats);
-      expect_identical(flat, hier, to_string(b));
-      // The audit mode must agree with itself.
-      RenderCounters cv;
-      EXPECT_NO_THROW(bin_splats(splats, g, b, 1, cv, BinningMode::kVerify)) << to_string(b);
-      EXPECT_EQ(cv.tile_pairs, ch.tile_pairs);
-    }
-  }
+TEST(BinningAdversarial, CorpusMatchesPerCellReferenceInEveryBoundary) {
+  // 128x96 image: the 256-px cell size is a 1×1-cell grid.
+  expect_matches_reference(adversarial_corpus(), 128, 96);
 }
 
 TEST(BinningAdversarial, HugeRhoSplatHitsEveryCellUnderAabb) {
   const CellGrid g = CellGrid::over_image(128, 96, 16);
   const std::vector<ProjectedSplat> splats = {make_splat({40, 40}, Sym2{1, 0, 1}, 1, 0, 1e30f)};
-  for (const BinningMode m : {BinningMode::kFlat, BinningMode::kHierarchical}) {
-    RenderCounters c;
-    const BinnedSplats bins = bin_splats(splats, g, Boundary::kAabb, 1, c, m);
-    // Pre-fix the unclamped cast produced an empty range and silently
-    // dropped a screen-covering splat.
-    EXPECT_EQ(c.tile_pairs, static_cast<std::size_t>(g.cell_count())) << to_string(m);
-    EXPECT_EQ(bins.splat_ids.size(), static_cast<std::size_t>(g.cell_count()));
-  }
+  RenderCounters c;
+  const BinnedSplats bins = bin_splats(splats, g, Boundary::kAabb, 1, c);
+  // Pre-fix the unclamped cast produced an empty range and silently
+  // dropped a screen-covering splat.
+  EXPECT_EQ(c.tile_pairs, static_cast<std::size_t>(g.cell_count()));
+  EXPECT_EQ(bins.splat_ids.size(), static_cast<std::size_t>(g.cell_count()));
 }
 
 TEST(BinningAdversarial, NonFiniteSplatsProduceNoPairs) {
@@ -307,129 +327,36 @@ TEST(BinningAdversarial, NonFiniteSplatsProduceNoPairs) {
       make_splat({kInf, kInf}, Sym2{1, 0, 1}, 2.0f, 2),
       make_splat({40, 40}, Sym2{1, 0, 1}, 2.5f, 3, kNaN),
   };
-  for (const BinningMode m : {BinningMode::kFlat, BinningMode::kHierarchical}) {
-    for (const Boundary b : {Boundary::kAabb, Boundary::kObb, Boundary::kEllipse}) {
-      RenderCounters c;
-      bin_splats(splats, g, b, 1, c, m);
-      EXPECT_EQ(c.tile_pairs, 0u) << to_string(m) << "/" << to_string(b);
-    }
+  for (const Boundary b : {Boundary::kAabb, Boundary::kObb, Boundary::kEllipse}) {
+    RenderCounters c;
+    bin_splats(splats, g, b, 1, c);
+    EXPECT_EQ(c.tile_pairs, 0u) << to_string(b);
   }
 }
 
 TEST(BinningAdversarial, NegativeRhoRejectsEvenItsOwnCellUnderEllipse) {
   const CellGrid g = CellGrid::over_image(128, 96, 16);
   const std::vector<ProjectedSplat> splats = {make_splat({40, 40}, Sym2{1, 0, 1}, 1, 0, -1.0f)};
-  for (const BinningMode m : {BinningMode::kFlat, BinningMode::kHierarchical}) {
-    RenderCounters ce, ca;
-    bin_splats(splats, g, Boundary::kEllipse, 1, ce, m);
-    bin_splats(splats, g, Boundary::kAabb, 1, ca, m);
-    // The single-cell fast path must not claim a guaranteed hit for rho < 0:
-    // flat's ellipse test rejects the center's own cell (min distance 0 > rho).
-    EXPECT_EQ(ce.tile_pairs, 0u) << to_string(m);
-    EXPECT_EQ(ca.tile_pairs, 1u) << to_string(m);
-  }
+  RenderCounters ce, ca;
+  bin_splats(splats, g, Boundary::kEllipse, 1, ce);
+  bin_splats(splats, g, Boundary::kAabb, 1, ca);
+  // The ellipse test rejects the center's own cell (min distance 0 > rho).
+  EXPECT_EQ(ce.tile_pairs, 0u);
+  EXPECT_EQ(ca.tile_pairs, 1u);
 }
 
-// --- flat vs hierarchical bit-identity sweep ------------------------------
+// --- real workload against the per-cell reference ------------------------
 
 TEST(BinningIdentitySweep, RealWorkloadAcrossBoundariesCellSizesThreads) {
   const Camera cam = make_camera(512, 384);
   const GaussianCloud cloud = testutil::make_random_cloud(2000, 7);
   RenderCounters pc;
   const auto splats = preprocess(cloud, cam, RenderConfig{}, pc);
-
-  for (const int cell : {8, 16, 32, 64}) {
-    const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), cell);
-    for (const Boundary b : {Boundary::kAabb, Boundary::kObb, Boundary::kEllipse}) {
-      RenderCounters cf;
-      BinnedSplats flat = bin_splats(splats, g, b, 1, cf, BinningMode::kFlat);
-      canonicalize(flat, splats);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        RenderCounters ch;
-        BinnedSplats hier = bin_splats(splats, g, b, threads, ch, BinningMode::kHierarchical);
-        EXPECT_EQ(cf.tile_pairs, ch.tile_pairs)
-            << to_string(b) << " cell " << cell << " threads " << threads;
-        EXPECT_EQ(cf.splats_multi_tile, ch.splats_multi_tile);
-        EXPECT_GT(ch.coarse_pairs, 0u);
-        EXPECT_EQ(cf.coarse_pairs, 0u);
-        canonicalize(hier, splats);
-        expect_identical(flat, hier, to_string(b));
-      }
-      // kVerify runs its own flat reference compare across the same sweep.
-      RenderCounters cv;
-      EXPECT_NO_THROW(bin_splats(splats, g, b, 4, cv, BinningMode::kVerify))
-          << to_string(b) << " cell " << cell;
-    }
-  }
-}
-
-TEST(BinningIdentitySweep, HierarchicalReducesBoundaryTestsOnRealWorkload) {
-  const Camera cam = make_camera(512, 384);
-  const GaussianCloud cloud = testutil::make_random_cloud(2000, 13);
-  RenderCounters pc;
-  const auto splats = preprocess(cloud, cam, RenderConfig{}, pc);
-  const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), 16);
-  for (const Boundary b : {Boundary::kAabb, Boundary::kObb, Boundary::kEllipse}) {
-    RenderCounters cf, ch;
-    bin_splats(splats, g, b, 0, cf, BinningMode::kFlat);
-    bin_splats(splats, g, b, 0, ch, BinningMode::kHierarchical);
-    EXPECT_LT(ch.boundary_tests, cf.boundary_tests) << to_string(b);
-  }
-}
-
-// --- mode resolution ------------------------------------------------------
-
-TEST(BinningMode, AutoResolvesByGridSize) {
-  const CellGrid small = CellGrid::over_image(256, 192, 16);  // 192 cells
-  const CellGrid large = CellGrid::over_image(1024, 768, 16);  // 3072 cells
-  ASSERT_LT(small.cell_count(), kAutoHierarchicalMinCells);
-  ASSERT_GE(large.cell_count(), kAutoHierarchicalMinCells);
-  EXPECT_EQ(resolve_binning_mode(BinningMode::kAuto, small), BinningMode::kFlat);
-  EXPECT_EQ(resolve_binning_mode(BinningMode::kAuto, large), BinningMode::kHierarchical);
-  EXPECT_EQ(resolve_binning_mode(BinningMode::kFlat, large), BinningMode::kFlat);
-  EXPECT_EQ(resolve_binning_mode(BinningMode::kVerify, small), BinningMode::kVerify);
-}
-
-TEST(BinningMode, VerifyReportsHierarchicalCounters) {
-  const Camera cam = make_camera();
-  const GaussianCloud cloud = testutil::make_random_cloud(600, 29);
-  RenderCounters pc;
-  const auto splats = preprocess(cloud, cam, RenderConfig{}, pc);
-  const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), 16);
-  RenderCounters ch, cv;
-  bin_splats(splats, g, Boundary::kEllipse, 2, ch, BinningMode::kHierarchical);
-  bin_splats(splats, g, Boundary::kEllipse, 2, cv, BinningMode::kVerify);
-  EXPECT_EQ(cv.boundary_tests, ch.boundary_tests);
-  EXPECT_EQ(cv.tile_pairs, ch.tile_pairs);
-  EXPECT_EQ(cv.coarse_pairs, ch.coarse_pairs);
-  EXPECT_EQ(cv.splats_multi_tile, ch.splats_multi_tile);
+  ASSERT_GE(splats.size(), 1024u);  // enough splats for 4 workers
+  expect_matches_reference(splats, cam.width(), cam.height());
 }
 
 // --- steady-state reuse ---------------------------------------------------
-
-TEST(BinningScratchReuse, HierarchicalIsAllocationStableAcrossFrames) {
-  const Camera cam = make_camera();
-  const GaussianCloud cloud = testutil::make_random_cloud(800, 31);
-  RenderCounters pc;
-  const auto splats = preprocess(cloud, cam, RenderConfig{}, pc);
-  const CellGrid g = CellGrid::over_image(cam.width(), cam.height(), 16);
-
-  BinnedSplats out;
-  BinningScratch scratch;
-  RenderCounters warm;
-  bin_splats_into(splats, g, Boundary::kEllipse, 1, warm, out, scratch,
-                  BinningMode::kHierarchical);
-  const BinnedSplats first = out;
-  // Steady state: capacities are warm, results must be reproduced exactly.
-  for (int frame = 0; frame < 3; ++frame) {
-    RenderCounters c;
-    bin_splats_into(splats, g, Boundary::kEllipse, 1, c, out, scratch,
-                    BinningMode::kHierarchical);
-    EXPECT_EQ(out.offsets, first.offsets);
-    EXPECT_EQ(out.splat_ids, first.splat_ids);
-    EXPECT_EQ(c.tile_pairs, warm.tile_pairs);
-  }
-}
 
 TEST(BinningScratchReuse, FlatIsAllocationStableAcrossFrames) {
   const Camera cam = make_camera();
@@ -441,7 +368,7 @@ TEST(BinningScratchReuse, FlatIsAllocationStableAcrossFrames) {
   BinnedSplats out;
   BinningScratch scratch;
   RenderCounters warm;
-  bin_splats_into(splats, g, Boundary::kEllipse, 1, warm, out, scratch, BinningMode::kFlat);
+  bin_splats_into(splats, g, Boundary::kEllipse, 1, warm, out, scratch);
   const BinnedSplats first = out;
   ASSERT_EQ(scratch.hit_cells.size(), 1u);
   const std::uint32_t* records = scratch.hit_cells[0].data();
@@ -450,7 +377,7 @@ TEST(BinningScratchReuse, FlatIsAllocationStableAcrossFrames) {
   // results are reproduced exactly.
   for (int frame = 0; frame < 3; ++frame) {
     RenderCounters c;
-    bin_splats_into(splats, g, Boundary::kEllipse, 1, c, out, scratch, BinningMode::kFlat);
+    bin_splats_into(splats, g, Boundary::kEllipse, 1, c, out, scratch);
     EXPECT_EQ(out.offsets, first.offsets);
     EXPECT_EQ(out.splat_ids, first.splat_ids);
     EXPECT_EQ(c.tile_pairs, warm.tile_pairs);

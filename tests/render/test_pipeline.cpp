@@ -54,19 +54,15 @@ TEST(BaselinePipeline, BitIdenticalToPerTileReference) {
   const Camera cam = make_camera(200, 152);
   const GaussianCloud cloud = testutil::make_random_cloud(1000, 29);
   for (const Boundary boundary : {Boundary::kEllipse, Boundary::kObb, Boundary::kAabb}) {
-    for (const BinningMode binning : {BinningMode::kFlat, BinningMode::kHierarchical}) {
-      for (const std::size_t threads : {1, 4}) {
-        RenderConfig config;
-        config.boundary = boundary;
-        config.binning = binning;
-        config.threads = threads;
-        SCOPED_TRACE(std::string(to_string(boundary)) + " " + to_string(binning) + " threads " +
-                     std::to_string(threads));
-        const RenderResult want = testutil::reference_baseline(cloud, cam, config);
-        const RenderResult got = render_baseline(cloud, cam, config);
-        EXPECT_EQ(max_abs_diff(want.image, got.image), 0.0f);
-        testutil::expect_counters_equal(want.counters, got.counters);
-      }
+    for (const std::size_t threads : {1, 4}) {
+      RenderConfig config;
+      config.boundary = boundary;
+      config.threads = threads;
+      SCOPED_TRACE(std::string(to_string(boundary)) + " threads " + std::to_string(threads));
+      const RenderResult want = testutil::reference_baseline(cloud, cam, config);
+      const RenderResult got = render_baseline(cloud, cam, config);
+      EXPECT_EQ(max_abs_diff(want.image, got.image), 0.0f);
+      testutil::expect_counters_equal(want.counters, got.counters);
     }
   }
 }

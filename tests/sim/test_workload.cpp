@@ -154,7 +154,6 @@ TEST(Workload, TileSortedWorkloadsMatchRenderBaseline) {
     RenderConfig bc;
     bc.tile_size = 16;
     bc.boundary = boundary;
-    bc.binning = BinningMode::kFlat;
     const RenderCounters ref = testutil::reference_baseline(cloud, cam, bc).counters;
     const FrameWorkload w = build_tile_sorted_workload(cloud, cam, bc, "Baseline");
     const WorkloadSums got = sums(w);
@@ -171,7 +170,6 @@ TEST(Workload, TileSortedWorkloadsMatchRenderBaseline) {
   RenderConfig obb;
   obb.tile_size = 16;
   obb.boundary = Boundary::kObb;
-  obb.binning = BinningMode::kFlat;
   const RenderCounters ref = testutil::reference_baseline(cloud, cam, obb).counters;
   const FrameWorkload gscore = build_gscore_workload(cloud, cam, 16);
   const WorkloadSums got = sums(gscore);

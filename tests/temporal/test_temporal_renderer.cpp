@@ -286,16 +286,14 @@ DefaultConfigFrames render_default_configs(const GaussianCloud& cloud, const Cam
 
 TEST(LibraryEnv, ModeKnobsDoNotReachTheRenderers) {
   // The library renders the config it is given: only process edges apply
-  // GSTG_* mode knobs (resolve_from_env), so a lossy pipeline and an
-  // audited binning in the environment change nothing here.
+  // GSTG_* mode knobs (resolve_from_env), so a lossy pipeline in the
+  // environment changes nothing here.
   const GaussianCloud cloud = make_random_cloud(700, 43);
   const Camera camera = make_camera();
   const DefaultConfigFrames plain = render_default_configs(cloud, camera);
 
   testutil::EnvGuard pipeline("GSTG_PIPELINE");
-  testutil::EnvGuard binning("GSTG_BINNING");
   pipeline.set("sortless");
-  binning.set("verify");
   const DefaultConfigFrames with_env = render_default_configs(cloud, camera);
 
   EXPECT_TRUE(images_identical(plain.gstg, with_env.gstg));
@@ -306,7 +304,6 @@ TEST(LibraryEnv, ModeKnobsDoNotReachTheRenderers) {
                              std::pair{plain.baseline_counters, with_env.baseline_counters}}) {
     EXPECT_TRUE(counters_equal(a, b));
     EXPECT_EQ(a.boundary_tests, b.boundary_tests);
-    EXPECT_EQ(a.coarse_pairs, b.coarse_pairs);
   }
   EXPECT_GT(with_env.gstg_counters.sort_pairs, 0u);  // still the exact pipeline
 }

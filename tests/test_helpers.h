@@ -65,7 +65,7 @@ inline RenderResult reference_baseline(const GaussianCloud& cloud, const Camera&
       preprocess(cloud, camera, config, result.counters);
   BinnedSplats bins =
       bin_splats(splats, CellGrid::over_image(camera.width(), camera.height(), config.tile_size),
-                 config.boundary, config.threads, result.counters, config.binning);
+                 config.boundary, config.threads, result.counters);
   sort_cell_lists(bins, splats, config.threads, result.counters, config.sort_algo);
   rasterize_all(bins, splats, result.image, config.threads, result.counters, config.simd);
   return result;
@@ -77,7 +77,6 @@ inline void expect_counters_equal(const RenderCounters& want, const RenderCounte
   EXPECT_EQ(want.visible_gaussians, got.visible_gaussians);
   EXPECT_EQ(want.boundary_tests, got.boundary_tests);
   EXPECT_EQ(want.tile_pairs, got.tile_pairs);
-  EXPECT_EQ(want.coarse_pairs, got.coarse_pairs);
   EXPECT_EQ(want.splats_multi_tile, got.splats_multi_tile);
   EXPECT_EQ(want.sort_pairs, got.sort_pairs);
   EXPECT_EQ(want.sort_comparison_volume, got.sort_comparison_volume);

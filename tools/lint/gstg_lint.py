@@ -40,7 +40,7 @@ input, under the right sanitizer (see docs/ARCHITECTURE.md, "Static analysis
                                no std::function in the hot TUs (type-erased
                                calls have no place in render kernels); no
                                resolve_from_env / mode_from_env call and no
-                               GSTG_BINNING/PIPELINE/RESIDENCY/TEMPORAL
+                               GSTG_PIPELINE/RESIDENCY/TEMPORAL
                                literal in src/render, src/core or
                                src/temporal (the library renders the config
                                it is given; process edges resolve the knobs).
@@ -94,7 +94,7 @@ R5_HOT_FILES = ("src/common/parallel.h",)
 # R5 library scope: the mode knobs are resolved once at the process edge
 # (examples, RenderService), never in the middle of a render.
 R5_LIBRARY_DIRS = ("src/render", "src/core", "src/temporal")
-R5_MODE_KNOBS = frozenset(("GSTG_BINNING", "GSTG_PIPELINE", "GSTG_RESIDENCY", "GSTG_TEMPORAL"))
+R5_MODE_KNOBS = frozenset(("GSTG_PIPELINE", "GSTG_RESIDENCY", "GSTG_TEMPORAL"))
 
 CPP_KEYWORDS = frozenset(
     """alignas alignof asm auto bool break case catch char class co_await co_return co_yield
