@@ -3,17 +3,24 @@
 # CTest test (label: docs). Three checks:
 #   1. Every relative markdown link in README.md, docs/*.md, bench/README.md
 #      resolves to an existing file or directory.
-#   2. docs/CONFIG.md mentions every field of GsTgConfig (and RenderConfig),
-#      so the config reference cannot silently rot.
+#   2. docs/CONFIG.md documents every field of GsTgConfig, RenderConfig and
+#      ServiceConfig as a table row of its own struct's section (the field's
+#      backticked name is the row's first cell, under "## `Struct`"), so the
+#      config reference cannot silently rot. A mention elsewhere — in another
+#      field's row or another struct's table — does not count.
 #   3. Every GSTG_* environment variable parsed in common/runconfig.cpp has
 #      a row in docs/CONFIG.md, so new env knobs cannot ship undocumented.
 #   4. No rendered image output (*.ppm) is tracked by git — PPMs are build
 #      products (quickstart, bench quality diffs) and belong in .gitignore.
 #   5. Every lint rule ID in tools/lint/gstg_lint.py has a matching section
 #      in docs/ARCHITECTURE.md, so the invariant catalogue cannot rot.
+#
+# Usage: check_docs.sh [config_md]   (default docs/CONFIG.md; the docs
+# selftest passes doctored copies to prove check 2 fails on them)
 set -u
 
 cd "$(dirname "$0")/.." || exit 1
+config_md=${1:-docs/CONFIG.md}
 fail=0
 
 # --- 1. relative links resolve -------------------------------------------
@@ -54,9 +61,12 @@ check_fields() {
     fail=1
     return
   fi
+  # The struct's section: from its "## `Struct`" heading to the next "## ".
+  section=$(awk -v h="## \`$struct\`" \
+    'index($0, h) == 1 { on = 1; next } on && /^## / { on = 0 } on' "$config_md")
   for field in $fields; do
-    if ! grep -q "\`$field\`" docs/CONFIG.md; then
-      echo "UNDOCUMENTED FIELD: $struct::$field missing from docs/CONFIG.md"
+    if ! printf '%s\n' "$section" | grep -q "^| \`$field\` |"; then
+      echo "UNDOCUMENTED FIELD: $struct::$field has no row in the $struct section of $config_md"
       fail=1
     fi
   done
@@ -76,8 +86,8 @@ if [ -z "$env_vars" ]; then
   fail=1
 fi
 for var in $env_vars; do
-  if ! grep -q "$var" docs/CONFIG.md; then
-    echo "UNDOCUMENTED ENV VAR: $var missing from docs/CONFIG.md"
+  if ! grep -q "$var" "$config_md"; then
+    echo "UNDOCUMENTED ENV VAR: $var missing from $config_md"
     fail=1
   fi
 done

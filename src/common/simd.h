@@ -29,6 +29,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -50,10 +51,11 @@ enum class SimdBackend : std::uint8_t {
   kNeon,
 };
 
-/// Exponential evaluation mode of the rasterization kernels. kExact defers
-/// to std::exp (one call per surviving lane) and preserves the lossless
-/// bit-identity invariant; kFast uses the vectorized polynomial fast_exp()
-/// below (bounded-ULP approximation, see its contract).
+/// Exponential evaluation mode of the rasterization kernels. kExact uses
+/// exp_exact() below (a lane port of glibc's expf, equal to std::exp on
+/// glibc) and preserves the lossless bit-identity invariant; kFast uses the
+/// vectorized polynomial fast_exp() (bounded-ULP approximation, see its
+/// contract).
 enum class ExpMode : std::uint8_t {
   kExact = 0,
   kFast,
@@ -498,6 +500,15 @@ GSTG_SIMD_INLINE VecF32<N> sqrt_lanes(VecF32<N> x) {
   for (int i = 0; i < N; ++i) r.v[i] = std::sqrt(x.v[i]);
   return r;
 }
+/// Cache prefetch hint for data a loop will read shortly (no-op where the
+/// compiler has no builtin).
+GSTG_SIMD_INLINE void prefetch(const void* p) {
+#if defined(GSTG_SIMD_VECEXT)
+  __builtin_prefetch(p);
+#else
+  (void)p;
+#endif
+}
 /// Horizontal sum of integer lanes (reduction, once per tile — not hot).
 template <int N>
 GSTG_SIMD_INLINE std::int64_t hsum(VecI32<N> x) {
@@ -527,7 +538,7 @@ GSTG_SIMD_INLINE std::int64_t hsum(VecI32<N> x) {
 ///     float->int casts. Only discarded (masked-out) lanes ever carry NaN in
 ///     the kernels.
 /// fast_exp is only reachable through ExpMode::kFast — the default kExact
-/// path calls std::exp and stays bit-identical to the scalar renderer.
+/// path uses exp_exact() and stays bit-identical to the scalar renderer.
 template <int N>
 GSTG_SIMD_INLINE VecF32<N> fast_exp(VecF32<N> x) {
   const VecF32<N> lo = VecF32<N>::broadcast(-87.336544f);
@@ -566,6 +577,101 @@ GSTG_SIMD_INLINE VecF32<N> fast_exp(VecF32<N> x) {
   const VecI32<N> n = convert_to_i32(nf);
   const VecI32<N> bits = (n + VecI32<N>::broadcast(127)) << 23;
   return result * bitcast_f32(bits);
+}
+
+// ---------------------------------------------------------------------------
+// exp_exact
+// ---------------------------------------------------------------------------
+
+namespace exp_exact_detail {
+
+/// Port of glibc's expf (sysdeps/ieee754/flt-32/e_expf.c, non-FMA build):
+/// exp(x) = 2^(k/32) * 2^(r/32) with k = round(x * 32 / ln 2), the 2^(i/32)
+/// table stored as uint64(2^(i/32)) - (i << 47) so that adding k << 47
+/// assembles the full scale, and a degree-3 polynomial in r, all in double.
+inline constexpr std::uint64_t kTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540};
+inline constexpr double kInvLn2N = 0x1.71547652b82fep+0 * 32;
+inline constexpr double kShift = 0x1.8p+52;  // z + kShift rounds z to an integer
+inline constexpr double kC0 = 0x1.c6af84b912394p-5 / 32 / 32 / 32;
+inline constexpr double kC1 = 0x1.ebfce50fac4f3p-3 / 32 / 32;
+inline constexpr double kC2 = 0x1.62e42ff0c52d6p-1 / 32;
+/// The port is only used on [kLo, 0]; it is exhaustively checked against
+/// std::exp there (tests/common/test_exp_exhaustive.cpp).
+inline constexpr float kLo = -16.0f;
+
+/// One lane of the port, operation for operation the vector body below.
+GSTG_SIMD_INLINE float lane(float x) {
+  const double z = kInvLn2N * static_cast<double>(x);
+  const double kd_shifted = z + kShift;
+  const std::uint64_t ki = std::bit_cast<std::uint64_t>(kd_shifted);
+  const double r = z - (kd_shifted - kShift);
+  const double s = std::bit_cast<double>(kTable[ki % 32] + (ki << 47));
+  const double p = kC0 * r + kC1;
+  const double r2 = r * r;
+  const double y = p * r2 + (kC2 * r + 1.0);
+  return static_cast<float>(y * s);
+}
+
+#if defined(GSTG_SIMD_VECEXT)
+/// The same operations on compiler vectors: DV/UV hold as many double/uint64
+/// lanes as FV holds floats. (Type parameters rather than dependent vector
+/// typedefs, so the lane subscripts resolve at instantiation.)
+template <class DV, class UV, class FV>
+GSTG_SIMD_INLINE void lanes(const FV& x, FV& out) {
+  const DV z = __builtin_convertvector(x, DV) * kInvLn2N;
+  const DV kd_shifted = z + kShift;
+  const UV ki = (UV)kd_shifted;  // GCC vector casts reinterpret the bits
+  const DV r = z - (kd_shifted - kShift);
+  UV t;
+  for (std::size_t i = 0; i < sizeof(UV) / sizeof(std::uint64_t); ++i) t[i] = kTable[ki[i] % 32];
+  const DV s = (DV)(t + (ki << 47));
+  const DV p = r * kC0 + kC1;
+  const DV r2 = r * r;
+  const DV y = p * r2 + (r * kC2 + 1.0);
+  out = __builtin_convertvector(y * s, FV);
+}
+#endif
+
+}  // namespace exp_exact_detail
+
+/// Bit-exact vectorized exponential: every lane equals the scalar port of
+/// glibc's expf on [-16, 0] and std::exp elsewhere (NaN included), so the
+/// result is identical on every backend, scalar included. On glibc the port
+/// equals std::exp on all of [-16, 0] (checked exhaustively), which makes
+/// ExpMode::kExact bit-identical to a per-lane std::exp renderer; the
+/// blending kernels only feed it x >= -0.5 * 2 ln(255 opacity). Callers keep
+/// discarded lanes in range (e.g. select them to 0) so the std::exp fallback
+/// stays off the hot path.
+template <int N>
+GSTG_SIMD_INLINE VecF32<N> exp_exact(VecF32<N> x) {
+  namespace d = exp_exact_detail;
+  VecF32<N> y;
+#if defined(GSTG_SIMD_VECEXT)
+  if constexpr (N >= 2) {
+    typedef double dv __attribute__((vector_size(N * 8)));
+    typedef std::uint64_t uv __attribute__((vector_size(N * 8)));
+    d::lanes<dv, uv>(x.v, y.v);
+  } else
+#endif
+  {
+    for (int i = 0; i < N; ++i) y.v[i] = d::lane(x.v[i]);
+  }
+  const VecF32<N> lo = VecF32<N>::broadcast(d::kLo);
+  const Mask<N> in_range = cmp_le(lo, x) & cmp_le(x, VecF32<N>::broadcast(0.0f));
+  if ((!in_range).any()) {
+    for (int i = 0; i < N; ++i) {
+      if (!in_range.lane(i)) y.v[i] = std::exp(x.v[i]);
+    }
+  }
+  return y;
 }
 
 }  // namespace gstg

@@ -7,7 +7,10 @@
 // a SimdPolicy selects the lane width (scalar / SSE4.2 / AVX2 / NEON, kAuto =
 // widest verified backend) and the exponential mode. Exact mode is
 // bit-identical across every backend; counters are exact under vectorization
-// in both modes.
+// in both modes. The tile's pixel state keeps a fixed layout (no compaction:
+// exited pixels drop out through a lane mask), and each (splat, tile) visit
+// evaluates only the rows and column blocks of a conservative window outside
+// which the splat provably passes no pixel's guard.
 #pragma once
 
 #include <cstdint>
@@ -39,18 +42,18 @@ struct TileRasterStats {
 };
 
 /// Reusable per-worker blending buffers in structure-of-arrays layout (lane
-/// kernels stream them directly): pixel centres, transmittance, accumulated
-/// colour channels and the surviving pixel index, all compacted together
-/// when pixels hit the transmittance early exit. Sized to the largest tile
-/// seen so far (rounded up to the widest lane count).
+/// kernels stream them directly). The per-pixel state (transmittance and the
+/// accumulated colour channels) keeps a fixed row-major layout with each row
+/// padded to whole lane blocks; a pixel that hits the transmittance early
+/// exit stays in place and drops out through a lane mask, and every pixel is
+/// flushed once at the end of the tile. Sized to the largest tile seen so
+/// far.
 struct TileRasterScratch {
-  std::vector<float> px;
-  std::vector<float> py;
+  std::vector<float> px;  ///< pixel-centre x of one padded row
   std::vector<float> transmittance;
   std::vector<float> r;
   std::vector<float> g;
   std::vector<float> b;
-  std::vector<std::uint32_t> pixel;
 };
 
 /// Rasterizes the depth-ordered splat sequence `order` into the pixel block

@@ -89,8 +89,8 @@ ProjectedSplat probe_splat(Vec2 center, float sigma, float depth, float opacity,
 
 /// Runs one 16x16 exact-mode tile through `k` and the scalar kernel and
 /// compares framebuffers (bitwise) and statistics. The splat set exercises
-/// every kernel path: blending, the in-range guard, the alpha threshold, the
-/// clamp, and the transmittance early exit with compaction.
+/// every kernel path: the pixel window, blending, the in-range guard, the
+/// alpha threshold, the clamp, and the transmittance early exit.
 bool probe_matches_scalar(const SimdKernels& k) {
   std::vector<ProjectedSplat> splats;
   splats.push_back(probe_splat({5.3f, 7.1f}, 2.0f, 1.0f, 0.8f, {0.9f, 0.2f, 0.1f}, 0));

@@ -1,7 +1,8 @@
-// SIMD layer tests: backend naming/detection, the fast_exp ULP contract, and
-// the per-backend consistency suite — every compiled backend must produce
-// bit-identical framebuffers and counters in exact mode, and bounded-ULP
-// divergence in fast-exp mode, across the lossless sweep scenes.
+// SIMD layer tests: backend naming/detection, the fast_exp ULP contract, the
+// exp_exact identity with std::exp, and the per-backend consistency suite —
+// every compiled backend must produce bit-identical framebuffers and
+// counters in exact mode, and bounded-ULP divergence in fast-exp mode,
+// across the lossless sweep scenes.
 #include "common/simd.h"
 
 #include <gtest/gtest.h>
@@ -120,6 +121,67 @@ TEST(FastExp, ExtremesAreFiniteAndNanIsSafe) {
   const float nan_result =
       fast_exp<1>(VecF32<1>::broadcast(std::numeric_limits<float>::quiet_NaN())).v[0];
   EXPECT_TRUE(std::isfinite(nan_result));  // documented: NaN maps to ~0
+}
+
+// --- exp_exact contract ----------------------------------------------------
+
+/// exp_exact's promise for one input: the bits of std::exp on glibc (the
+/// port is glibc's expf), within 1 ULP elsewhere.
+bool exp_exact_ok(float got, float want) {
+#if defined(__GLIBC__)
+  return std::bit_cast<std::uint32_t>(got) == std::bit_cast<std::uint32_t>(want);
+#else
+  return got == want || got == std::nextafter(want, 0.0f) || got == std::nextafter(want, 1.0f);
+#endif
+}
+
+TEST(ExpExact, MatchesStdExpOnStridedSample) {
+  // Every 97th float of [-16, 0] (~11M inputs); test_exp_exhaustive covers
+  // all of them.
+  const std::uint32_t lo = std::bit_cast<std::uint32_t>(-0.0f);
+  const std::uint32_t hi = std::bit_cast<std::uint32_t>(-16.0f);
+  std::size_t bad = 0;
+  float first_bad = 0.0f;
+  for (std::uint32_t u = lo; u <= hi; u += 97) {
+    const float x = std::bit_cast<float>(u);
+    if (!exp_exact_ok(exp_exact<1>(VecF32<1>::broadcast(x)).v[0], std::exp(x))) {
+      if (bad++ == 0) first_bad = x;
+    }
+  }
+  EXPECT_EQ(bad, 0u) << "first mismatch at x = " << first_bad;
+}
+
+TEST(ExpExact, EveryLaneWidthAgreesAndOutOfRangeLanesAreStdExp) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float xs[] = {0.0f,   -0.0f,   -1e-30f, -0.5f,  -5.55f, -15.999999f, -16.0f, -16.000002f,
+                      -63.1f, -87.0f,  -104.0f, 0.25f,  88.0f,  100.0f,      kInf,   -kInf,
+                      kNan,   -1e-45f, -3.0f,   -7.25f, -9.9f,  -12.5f,      -1.0f,  -2.0f};
+  constexpr std::size_t kCount = sizeof(xs) / sizeof(xs[0]);
+  static_assert(kCount % 8 == 0);
+  for (std::size_t base = 0; base < kCount; base += 8) {
+    const VecF32<8> w8 = exp_exact<8>(VecF32<8>::load(&xs[base]));
+    const VecF32<4> w4a = exp_exact<4>(VecF32<4>::load(&xs[base]));
+    const VecF32<4> w4b = exp_exact<4>(VecF32<4>::load(&xs[base + 4]));
+    for (std::size_t i = 0; i < 8; ++i) {
+      const float x = xs[base + i];
+      const float w1 = exp_exact<1>(VecF32<1>::broadcast(x)).v[0];
+      const float w4 = i < 4 ? w4a.v[i] : w4b.v[i - 4];
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(w8.v[i]), std::bit_cast<std::uint32_t>(w1))
+          << "x = " << x;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(w4), std::bit_cast<std::uint32_t>(w1))
+          << "x = " << x;
+      if (!(x >= -16.0f && x <= 0.0f)) {
+        // Outside the port's range every lane is std::exp itself.
+        const float want = std::exp(x);
+        EXPECT_TRUE(std::bit_cast<std::uint32_t>(w1) == std::bit_cast<std::uint32_t>(want) ||
+                    (std::isnan(w1) && std::isnan(want)))
+            << "x = " << x;
+      } else {
+        EXPECT_TRUE(exp_exact_ok(w1, std::exp(x))) << "x = " << x;
+      }
+    }
+  }
 }
 
 // --- per-backend consistency across the lossless sweep scenes --------------
