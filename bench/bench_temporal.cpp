@@ -5,7 +5,7 @@
 // renderer, and writes BENCH_temporal.json — the reuse-rate / sorts-avoided
 // trajectory CI archives and gates (scripts/check_bench.py --temporal).
 //
-// Like run_all and bench_simd, this only needs the project libraries, so it
+// Like run_all, this only needs the project libraries, so it
 // always builds. A verify mismatch or an image divergence exits with code 2
 // so CI's bench step goes red.
 //

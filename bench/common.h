@@ -41,7 +41,7 @@ inline const Scene& cached_scene(const std::string& name) {
 }
 
 /// Comma-separated list -> items (empty fields dropped), for --scenes=...
-/// flags. Shared by the JSON drivers (run_all, bench_simd, bench_temporal).
+/// flags. Shared by the JSON drivers (run_all, bench_temporal).
 inline std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
   std::string::size_type start = 0;

@@ -1,4 +1,4 @@
-// Minimal JSON writer shared by the bench drivers (run_all, bench_simd):
+// Minimal JSON writer shared by the JSON bench drivers (run_all, bench_*):
 // enough structure for the BENCH_*.json records, no dependency. Tracks
 // "first member" state so callers just emit key/values.
 #pragma once

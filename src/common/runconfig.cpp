@@ -93,6 +93,12 @@ TemporalMode mode_from_env(const char* name, TemporalMode configured) {
                     std::array{TemporalMode::kOff, TemporalMode::kReuse, TemporalMode::kVerify});
 }
 
+SimdBackend mode_from_env(const char* name, SimdBackend configured) {
+  return parse_mode(name, configured,
+                    std::array{SimdBackend::kAuto, SimdBackend::kScalar, SimdBackend::kSse4,
+                               SimdBackend::kAvx2, SimdBackend::kNeon});
+}
+
 std::size_t env_positive_size(const char* name, std::size_t fallback) {
   const char* env = std::getenv(name);  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
   if (env == nullptr) return fallback;

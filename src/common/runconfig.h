@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "common/simd.h"
+
 namespace gstg {
 
 /// Central registry of every GSTG_* environment variable the project reads.
@@ -28,7 +30,7 @@ inline constexpr const char* kGstgEnvVars[] = {
     "GSTG_SERVICE_SCENES",    // render service: scene cache capacity
     "GSTG_SERVICE_SESSIONS",  // render service: per-session renderer cache capacity
     "GSTG_SERVICE_WORKERS",   // render service: worker thread count
-    "GSTG_SIMD",              // SIMD backend override (scalar/sse4/avx2/...)
+    "GSTG_SIMD",              // resolve_from_env (auto/scalar/sse4/avx2/neon)
     "GSTG_TEMPORAL",          // resolve_from_env (off/reuse/verify)
     "GSTG_THREADS",           // worker_thread_count override
     "GSTG_TRACE",             // telemetry: trace JSON written at process exit
@@ -133,19 +135,23 @@ enum class PipelineMode : std::uint8_t { kExact, kSortless, kVerify };
 [[nodiscard]] PipelineMode mode_from_env(const char* name, PipelineMode configured);
 [[nodiscard]] ResidencyMode mode_from_env(const char* name, ResidencyMode configured);
 [[nodiscard]] TemporalMode mode_from_env(const char* name, TemporalMode configured);
+[[nodiscard]] SimdBackend mode_from_env(const char* name, SimdBackend configured);
 
-/// Applies GSTG_PIPELINE, GSTG_RESIDENCY and GSTG_TEMPORAL to
+/// Applies GSTG_PIPELINE, GSTG_RESIDENCY, GSTG_TEMPORAL and GSTG_SIMD to
 /// the matching fields of a render config (core/gstg_config.h's GsTgConfig;
 /// a template only so this layer needs no core header). Only process edges
 /// call it — the examples' mains and the RenderService constructor — on the
 /// thread that owns the process before render workers exist. The library
 /// itself never reads these variables: a Renderer, TemporalRenderer or
-/// render_baseline renders exactly the config it is given.
+/// render_baseline renders exactly the config it is given. A GSTG_SIMD
+/// backend the build or CPU lacks parses here and fails the config's
+/// validate().
 template <class Config>
 [[nodiscard]] Config resolve_from_env(Config config) {
   config.pipeline = mode_from_env("GSTG_PIPELINE", config.pipeline);
   config.residency = mode_from_env("GSTG_RESIDENCY", config.residency);
   config.temporal = mode_from_env("GSTG_TEMPORAL", config.temporal);
+  config.simd.backend = mode_from_env("GSTG_SIMD", config.simd.backend);
   return config;
 }
 

@@ -21,10 +21,11 @@
 // can be picked by the linker and executed on a narrower CPU.
 //
 // Backend selection is a runtime decision (function-pointer kernel table in
-// render/simd_kernels.h): kAuto resolves to the GSTG_SIMD environment
-// override when set, otherwise to the widest backend that is compiled in,
-// supported by the running CPU, and has passed a bit-identity probe against
-// the scalar kernel.
+// render/simd_kernels.h): kAuto resolves to the widest backend that is
+// compiled in, supported by the running CPU, and has passed a bit-identity
+// probe against the scalar kernel. The library reads no environment: the
+// GSTG_SIMD override is applied to a config's backend at process edges
+// (resolve_from_env, common/runconfig.h).
 #pragma once
 
 #include <bit>
@@ -51,36 +52,23 @@ enum class SimdBackend : std::uint8_t {
   kNeon,
 };
 
-/// Exponential evaluation mode of the rasterization kernels. kExact uses
-/// exp_exact() below (a lane port of glibc's expf, equal to std::exp on
-/// glibc) and preserves the lossless bit-identity invariant; kFast uses the
-/// vectorized polynomial fast_exp() (bounded-ULP approximation, see its
-/// contract).
-enum class ExpMode : std::uint8_t {
-  kExact = 0,
-  kFast,
-};
+/// Read by nothing; it stays only so that perfbench/ builds unchanged. The
+/// kernels always evaluate the blending exponential with exp_exact() below.
+enum class ExpMode : std::uint8_t { kExact };
 
 /// The SIMD knob threaded through RenderConfig / GsTgConfig: which kernel
-/// backend to run and how to evaluate the blending exponential.
+/// backend to run.
 struct SimdPolicy {
   SimdBackend backend = SimdBackend::kAuto;
+  /// Read by nothing; it stays only so that perfbench/ builds unchanged.
   ExpMode exp_mode = ExpMode::kExact;
 
   constexpr bool operator==(const SimdPolicy&) const = default;
 };
 
-/// Lower-case backend name ("auto", "scalar", "sse4", "avx2", "neon").
+/// Lower-case backend name ("auto", "scalar", "sse4", "avx2", "neon"), the
+/// GSTG_SIMD vocabulary.
 const char* to_string(SimdBackend backend);
-
-/// Parses a backend name (the GSTG_SIMD vocabulary). Returns kAuto for
-/// nullptr/"auto"; throws std::invalid_argument for anything else unknown.
-SimdBackend simd_backend_from_string(const char* name);
-
-/// The GSTG_SIMD environment override, parsed. Returns kAuto when the
-/// variable is unset; prints a one-time warning and returns kAuto when it is
-/// set to an unknown value.
-SimdBackend simd_backend_from_env();
 
 /// True when the running CPU can execute the backend's instruction set
 /// (kScalar/kAuto always; SSE4.2/AVX2 via cpuid, NEON on AArch64 builds).
@@ -145,7 +133,7 @@ struct VecF32<1> {
   GSTG_SIMD_INLINE VecF32 operator-() const { return {{-v[0]}}; }
 };
 
-/// N 32-bit integer lanes (mask values and fast_exp exponent assembly).
+/// N 32-bit integer lanes (mask values and per-lane counters).
 template <int N>
 struct VecI32 {
   static_assert(N >= 2 && N <= 16 && (N & (N - 1)) == 0, "unsupported lane count");
@@ -163,7 +151,6 @@ struct VecI32 {
     return r;
   }
   GSTG_SIMD_INLINE VecI32 operator+(VecI32 o) const { return {v + o.v}; }
-  GSTG_SIMD_INLINE VecI32 operator<<(int s) const { return {v << s}; }
 };
 
 template <>
@@ -172,9 +159,6 @@ struct VecI32<1> {
 
   GSTG_SIMD_INLINE static VecI32 broadcast(std::int32_t x) { return {{x}}; }
   GSTG_SIMD_INLINE VecI32 operator+(VecI32 o) const { return {{v[0] + o.v[0]}}; }
-  GSTG_SIMD_INLINE VecI32 operator<<(int s) const {
-    return {{static_cast<std::int32_t>(static_cast<std::uint32_t>(v[0]) << s)}};
-  }
 };
 
 /// Per-lane mask: 0 / ~0 integer lanes, the direct result type of vector
@@ -289,27 +273,6 @@ GSTG_SIMD_INLINE VecF32<N> abs_lanes(VecF32<N> x) {
   }
 }
 
-/// Truncating float->int32 conversion per lane (inputs must be in range,
-/// like a scalar static_cast).
-template <int N>
-GSTG_SIMD_INLINE VecI32<N> convert_to_i32(VecF32<N> x) {
-  if constexpr (N == 1) {
-    return VecI32<1>{{static_cast<std::int32_t>(x.v[0])}};
-  } else {
-    return {__builtin_convertvector(x.v, typename VecI32<N>::native)};
-  }
-}
-
-/// Bit reinterpretation int32 -> float per lane.
-template <int N>
-GSTG_SIMD_INLINE VecF32<N> bitcast_f32(VecI32<N> x) {
-  if constexpr (N == 1) {
-    return VecF32<1>{{std::bit_cast<float>(x.v[0])}};
-  } else {
-    return {(typename VecF32<N>::native)x.v};
-  }
-}
-
 /// Mask reinterpreted as integer lanes (0 / -1) — the building block for
 /// branch-free counting: accumulate `acc + as_i32(mask)` per block (one
 /// vector add), then reduce once per tile with -hsum(acc).
@@ -384,12 +347,6 @@ struct VecI32 {
     for (int i = 0; i < N; ++i) r.v[i] = v[i] + o.v[i];
     return r;
   }
-  GSTG_SIMD_INLINE VecI32 operator<<(int s) const {
-    VecI32 r;
-    for (int i = 0; i < N; ++i)
-      r.v[i] = static_cast<std::int32_t>(static_cast<std::uint32_t>(v[i]) << s);
-    return r;
-  }
 };
 
 template <int N>
@@ -455,18 +412,6 @@ GSTG_SIMD_INLINE VecF32<N> abs_lanes(VecF32<N> x) {
   return r;
 }
 template <int N>
-GSTG_SIMD_INLINE VecI32<N> convert_to_i32(VecF32<N> x) {
-  VecI32<N> r;
-  for (int i = 0; i < N; ++i) r.v[i] = static_cast<std::int32_t>(x.v[i]);
-  return r;
-}
-template <int N>
-GSTG_SIMD_INLINE VecF32<N> bitcast_f32(VecI32<N> x) {
-  VecF32<N> r;
-  for (int i = 0; i < N; ++i) r.v[i] = std::bit_cast<float>(x.v[i]);
-  return r;
-}
-template <int N>
 GSTG_SIMD_INLINE VecI32<N> as_i32(Mask<N> m) {
   VecI32<N> r;
   for (int i = 0; i < N; ++i) r.v[i] = m.m[i];
@@ -515,68 +460,6 @@ GSTG_SIMD_INLINE std::int64_t hsum(VecI32<N> x) {
   std::int64_t s = 0;
   for (int i = 0; i < N; ++i) s += x.v[i];
   return s;
-}
-
-// ---------------------------------------------------------------------------
-// fast_exp
-// ---------------------------------------------------------------------------
-
-/// Vectorized single-precision exponential (Cephes-style range reduction +
-/// degree-5 polynomial, 2^n scaling through exponent-field assembly).
-///
-/// Contract (verified empirically in tests/common/test_simd.cpp over a dense
-/// sample of the full input range):
-///   - valid for all finite inputs; the argument is clamped to
-///     [-87.336544, 88.376259] (127.5 ln 2 at the top, so the 2^n exponent
-///     scale never reaches inf) — the result never overflows and never
-///     underflows below the smallest normal.
-///   - maximum error vs the correctly-rounded std::expf: <= 8 ULP
-///     (measured < 3 ULP; the bound leaves slack for libm/rounding-mode
-///     variation across platforms).
-///   - NaN lanes map to the smallest in-range result (~1.2e-38) instead of
-///     propagating — keeps the exponent assembly below free of undefined
-///     float->int casts. Only discarded (masked-out) lanes ever carry NaN in
-///     the kernels.
-/// fast_exp is only reachable through ExpMode::kFast — the default kExact
-/// path uses exp_exact() and stays bit-identical to the scalar renderer.
-template <int N>
-GSTG_SIMD_INLINE VecF32<N> fast_exp(VecF32<N> x) {
-  const VecF32<N> lo = VecF32<N>::broadcast(-87.336544f);
-  const VecF32<N> hi = VecF32<N>::broadcast(88.376259f);  // 127.5 ln 2
-  x = clamp_std(x, lo, hi);
-  x = select(cmp_le(x, hi), x, lo);  // NaN (unordered) lanes -> lo
-
-  // n = round-to-nearest-even(x / ln 2) via the 1.5 * 2^23 shifter trick
-  // (|x / ln2| < 128 << 2^22, so the add is exact in the integer window).
-  const VecF32<N> log2e = VecF32<N>::broadcast(1.44269504088896341f);
-  const VecF32<N> shifter = VecF32<N>::broadcast(12582912.0f);  // 1.5 * 2^23
-  const VecF32<N> nf = (x * log2e + shifter) - shifter;
-
-  // r = x - n * ln2, in two steps for extra precision.
-  const VecF32<N> ln2_hi = VecF32<N>::broadcast(0.693359375f);
-  const VecF32<N> ln2_lo = VecF32<N>::broadcast(-2.12194440e-4f);
-  VecF32<N> r = x - nf * ln2_hi;
-  r = r - nf * ln2_lo;
-
-  // exp(r) ~= 1 + r + r^2 * P(r) on [-ln2/2, ln2/2] (Cephes expf minimax).
-  const VecF32<N> c0 = VecF32<N>::broadcast(1.9875691500e-4f);
-  const VecF32<N> c1 = VecF32<N>::broadcast(1.3981999507e-3f);
-  const VecF32<N> c2 = VecF32<N>::broadcast(8.3334519073e-3f);
-  const VecF32<N> c3 = VecF32<N>::broadcast(4.1665795894e-2f);
-  const VecF32<N> c4 = VecF32<N>::broadcast(1.6666665459e-1f);
-  const VecF32<N> c5 = VecF32<N>::broadcast(5.0000001201e-1f);
-  VecF32<N> p = c0;
-  p = p * r + c1;
-  p = p * r + c2;
-  p = p * r + c3;
-  p = p * r + c4;
-  p = p * r + c5;
-  const VecF32<N> result = p * (r * r) + r + VecF32<N>::broadcast(1.0f);
-
-  // Scale by 2^n: build the IEEE-754 exponent field directly.
-  const VecI32<N> n = convert_to_i32(nf);
-  const VecI32<N> bits = (n + VecI32<N>::broadcast(127)) << 23;
-  return result * bitcast_f32(bits);
 }
 
 // ---------------------------------------------------------------------------
@@ -646,7 +529,7 @@ GSTG_SIMD_INLINE void lanes(const FV& x, FV& out) {
 /// glibc's expf on [-16, 0] and std::exp elsewhere (NaN included), so the
 /// result is identical on every backend, scalar included. On glibc the port
 /// equals std::exp on all of [-16, 0] (checked exhaustively), which makes
-/// ExpMode::kExact bit-identical to a per-lane std::exp renderer; the
+/// the tile kernels bit-identical to a per-lane std::exp renderer; the
 /// blending kernels only feed it x >= -0.5 * 2 ln(255 opacity). Callers keep
 /// discarded lanes in range (e.g. select them to 0) so the std::exp fallback
 /// stays off the hot path.

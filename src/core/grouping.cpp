@@ -294,9 +294,8 @@ void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat
                        Framebuffer& fb, std::size_t threads, RenderCounters& counters,
                        RasterScratch* scratch) {
   // Backend resolution happens once per frame; every tile kernel call then
-  // dispatches on a concrete backend (no env reads in the hot loop).
-  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend),
-                        frame.config.simd.exp_mode};
+  // dispatches on a concrete backend.
+  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend)};
   rasterize_grouped_impl(frame, threads, counters, scratch,
                          [&](RasterScratch::Worker& wk, std::span<const std::uint32_t> filtered,
                              int x0, int y0, int x1, int y1) {
@@ -309,8 +308,7 @@ void rasterize_grouped_sortless(const GroupedFrame& frame,
                                 std::span<const ProjectedSplat> splats, Framebuffer& fb,
                                 std::size_t threads, RenderCounters& counters,
                                 RasterScratch* scratch) {
-  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend),
-                        frame.config.simd.exp_mode};
+  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend)};
   rasterize_grouped_impl(frame, threads, counters, scratch,
                          [&](RasterScratch::Worker& wk, std::span<const std::uint32_t> filtered,
                              int x0, int y0, int x1, int y1) {

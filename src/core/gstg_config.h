@@ -6,6 +6,7 @@
 
 #include "common/runconfig.h"
 #include "geometry/intersect.h"
+#include "render/simd_kernels.h"
 #include "render/sort_keys.h"
 #include "render/types.h"
 
@@ -16,8 +17,8 @@ namespace gstg {
 /// supports up to 64 tiles per group to cover the Fig. 11 sweep (8+64).
 using TileMask = std::uint64_t;
 
-/// The renderers use a config exactly as given. The three mode fields
-/// (pipeline, residency, temporal) have GSTG_* environment
+/// The renderers use a config exactly as given. The four mode fields
+/// (pipeline, residency, temporal, simd.backend) have GSTG_* environment
 /// overrides that only process edges apply, through resolve_from_env
 /// (common/runconfig.h); the library never reads them.
 struct GsTgConfig {
@@ -32,9 +33,10 @@ struct GsTgConfig {
   /// Group-sort algorithm: packed-key radix, comparison sort, or kAuto
   /// (radix above the cutoff). All choices order identically.
   SortAlgo sort_algo = SortAlgo::kAuto;
-  /// SIMD kernel policy for preprocess/rasterize (see common/simd.h): kAuto
-  /// backend resolves to the widest verified one (GSTG_SIMD overrides);
-  /// exact exponential mode (the default) keeps bit-identity with scalar.
+  /// SIMD kernel policy for preprocess/rasterize (see common/simd.h): the
+  /// kAuto backend resolves to the widest verified one; an explicit backend
+  /// the build or CPU lacks fails validate(). Every backend renders
+  /// bit-identical images.
   SimdPolicy simd;
   /// Cross-frame group-sort reuse mode of the temporal renderer
   /// (src/temporal/temporal_renderer.h). kOff by default so the one-shot and
@@ -98,7 +100,7 @@ struct GsTgConfig {
   [[nodiscard]] int tiles_per_group() const { return tiles_per_side() * tiles_per_side(); }
 
   /// Throws the typed ConfigError (a std::invalid_argument) for a rejected
-  /// geometry or mode combination.
+  /// geometry, mode combination or unavailable SIMD backend.
   void validate() const {
     if (tile_size <= 0 || group_size <= 0) {
       throw ConfigError("GsTgConfig: sizes must be positive");
@@ -117,6 +119,7 @@ struct GsTgConfig {
           "GsTgConfig: temporal kVerify requires the exact pipeline "
           "(sortless blending never sorts, so there is no order to audit)");
     }
+    require_simd_backend(simd.backend);
   }
 
   /// True when the (group, mask) boundary pair guarantees pixel-exact

@@ -24,7 +24,7 @@ TileRasterStats rasterize_tile(std::span<const ProjectedSplat> splats,
     throw std::invalid_argument("rasterize_tile: block out of bounds");
   }
   const SimdKernels& kernels = simd_kernels(resolve_simd_backend(simd.backend));
-  return kernels.rasterize_tile(splats, order, x0, y0, x1, y1, fb, scratch, simd.exp_mode);
+  return kernels.rasterize_tile(splats, order, x0, y0, x1, y1, fb, scratch);
 }
 
 void rasterize_all(const BinnedSplats& bins, std::span<const ProjectedSplat> splats,
@@ -33,9 +33,9 @@ void rasterize_all(const BinnedSplats& bins, std::span<const ProjectedSplat> spl
   const CellGrid& grid = bins.grid;
   const std::size_t cells = static_cast<std::size_t>(grid.cell_count());
 
-  // Resolve once per stage (not per tile): one env read / probe, then a
-  // concrete backend for every worker.
-  const SimdPolicy resolved{resolve_simd_backend(simd.backend), simd.exp_mode};
+  // Resolve once per stage (not per tile): one availability check / probe,
+  // then a concrete backend for every worker.
+  const SimdPolicy resolved{resolve_simd_backend(simd.backend)};
 
   // Per-worker stat slots sized from the exact worker count (no aliasing),
   // merged in worker order after the join.
@@ -75,8 +75,7 @@ TileRasterStats rasterize_tile_sortless(std::span<const ProjectedSplat> splats,
     throw std::invalid_argument("rasterize_tile_sortless: block out of bounds");
   }
   const SimdKernels& kernels = simd_kernels(resolve_simd_backend(simd.backend));
-  return kernels.rasterize_tile_sortless(splats, order, x0, y0, x1, y1, fb, scratch,
-                                         simd.exp_mode);
+  return kernels.rasterize_tile_sortless(splats, order, x0, y0, x1, y1, fb, scratch);
 }
 
 }  // namespace gstg

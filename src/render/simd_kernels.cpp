@@ -1,16 +1,17 @@
 // SIMD kernel registry and runtime dispatch: the function-pointer tables,
-// CPU-feature gating, the GSTG_SIMD override, and the one-time bit-identity
-// probe that qualifies a backend for kAuto selection.
+// CPU-feature gating, and the one-time bit-identity probe that qualifies a
+// backend for kAuto selection.
 #include "render/simd_kernels.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "camera/camera.h"
+#include "common/runconfig.h"
 #include "geometry/sym2.h"
 
 namespace gstg {
@@ -22,11 +23,11 @@ namespace gstg {
   namespace ns {                                                                             \
   TileRasterStats rasterize_tile_kernel(std::span<const ProjectedSplat>,                     \
                                         std::span<const std::uint32_t>, int, int, int, int,  \
-                                        Framebuffer&, TileRasterScratch&, ExpMode);          \
+                                        Framebuffer&, TileRasterScratch&);                   \
   TileRasterStats rasterize_tile_sortless_kernel(std::span<const ProjectedSplat>,            \
                                                  std::span<const std::uint32_t>, int, int,   \
                                                  int, int, Framebuffer&,                     \
-                                                 SortlessRasterScratch&, ExpMode);           \
+                                                 SortlessRasterScratch&);                    \
   void preprocess_chunk_kernel(const PreprocessChunkArgs&, std::size_t, std::size_t);        \
   }
 
@@ -107,10 +108,8 @@ bool probe_matches_scalar(const SimdKernels& k) {
   const SimdKernels& ref = simd_kernels(SimdBackend::kScalar);
   Framebuffer fa(16, 16), fb(16, 16);
   TileRasterScratch sa, sb;
-  const TileRasterStats ra =
-      ref.rasterize_tile(splats, order, 0, 0, 16, 16, fa, sa, ExpMode::kExact);
-  const TileRasterStats rb =
-      k.rasterize_tile(splats, order, 0, 0, 16, 16, fb, sb, ExpMode::kExact);
+  const TileRasterStats ra = ref.rasterize_tile(splats, order, 0, 0, 16, 16, fa, sa);
+  const TileRasterStats rb = k.rasterize_tile(splats, order, 0, 0, 16, 16, fb, sb);
 
   if (ra.alpha_computations != rb.alpha_computations || ra.blend_ops != rb.blend_ops ||
       ra.early_exit_pixels != rb.early_exit_pixels) {
@@ -129,9 +128,9 @@ bool probe_matches_scalar(const SimdKernels& k) {
   Framebuffer fsa(16, 16), fsb(16, 16);
   SortlessRasterScratch ssa, ssb;
   const TileRasterStats sra =
-      ref.rasterize_tile_sortless(splats, order, 0, 0, 16, 16, fsa, ssa, ExpMode::kExact);
+      ref.rasterize_tile_sortless(splats, order, 0, 0, 16, 16, fsa, ssa);
   const TileRasterStats srb =
-      k.rasterize_tile_sortless(splats, reversed, 0, 0, 16, 16, fsb, ssb, ExpMode::kExact);
+      k.rasterize_tile_sortless(splats, reversed, 0, 0, 16, 16, fsb, ssb);
   if (sra.alpha_computations != srb.alpha_computations || sra.blend_ops != srb.blend_ops ||
       srb.early_exit_pixels != 0) {
     return false;
@@ -181,16 +180,6 @@ bool probe_matches_scalar(const SimdKernels& k) {
   return true;
 }
 
-void warn_unavailable_once(SimdBackend requested) {
-  static std::once_flag warned;
-  std::call_once(warned, [requested] {
-    std::fprintf(stderr,
-                 "gstg: SIMD backend '%s' is not available on this build/CPU; "
-                 "falling back to scalar\n",
-                 to_string(requested));
-  });
-}
-
 }  // namespace
 
 const std::vector<SimdBackend>& available_simd_backends() {
@@ -222,18 +211,26 @@ SimdBackend widest_verified_backend() {
 
 // gstg-lint: boundary(R1): resolution funnels into function-local statics
 // (availability scan, bit-identity probe) computed once per process; every
-// steady-state call returns the cached backend without allocating.
+// steady-state call returns the cached backend without allocating (only the
+// cold ConfigError of an unavailable backend builds a message).
 SimdBackend resolve_simd_backend(SimdBackend requested) {
-  if (requested == SimdBackend::kAuto) {
-    const SimdBackend env = simd_backend_from_env();
-    if (env == SimdBackend::kAuto) return widest_verified_backend();
-    requested = env;
-  }
+  if (requested == SimdBackend::kAuto) return widest_verified_backend();
+  require_simd_backend(requested);
+  return requested;
+}
+
+void require_simd_backend(SimdBackend backend) {
+  if (backend == SimdBackend::kAuto) return;
   for (const SimdBackend b : available_simd_backends()) {
-    if (b == requested) return requested;
+    if (b == backend) return;
   }
-  warn_unavailable_once(requested);
-  return SimdBackend::kScalar;
+  std::string available;
+  for (const SimdBackend b : available_simd_backends()) {
+    if (!available.empty()) available += '/';
+    available += to_string(b);
+  }
+  throw ConfigError(std::string("SIMD backend '") + to_string(backend) +
+                    "' is not available on this build/CPU (available: " + available + ")");
 }
 
 const SimdKernels& simd_kernels(SimdBackend backend) {

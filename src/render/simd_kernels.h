@@ -7,14 +7,12 @@
 // results are bit-identical across backends (see common/simd.h).
 //
 // Dispatch is a function-pointer kernel table selected at runtime:
-//   resolve_simd_backend(kAuto)
-//     -> GSTG_SIMD environment override when set,
-//     -> otherwise the widest backend that is compiled in, supported by the
-//        running CPU, and passed a one-time bit-identity probe against the
-//        scalar kernel (widest_verified_backend()).
-// An explicitly requested backend that is unavailable falls back to scalar
-// with a one-time stderr warning, so GSTG_SIMD misconfiguration can never
-// change results — only speed.
+// resolve_simd_backend(kAuto) is the widest backend that is compiled in,
+// supported by the running CPU, and passed a one-time bit-identity probe
+// against the scalar kernel (widest_verified_backend()). An explicitly
+// requested backend that is unavailable is a ConfigError, never a fallback.
+// Nothing here reads the environment: GSTG_SIMD sets a config's backend at
+// process edges (resolve_from_env, common/runconfig.h).
 #pragma once
 
 #include <cstdint>
@@ -49,16 +47,15 @@ struct SimdKernels {
   /// The rasterize_tile inner loop. Bounds must already be validated.
   TileRasterStats (*rasterize_tile)(std::span<const ProjectedSplat> splats,
                                     std::span<const std::uint32_t> order, int x0, int y0,
-                                    int x1, int y1, Framebuffer& fb, TileRasterScratch& scratch,
-                                    ExpMode exp_mode) = nullptr;
+                                    int x1, int y1, Framebuffer& fb,
+                                    TileRasterScratch& scratch) = nullptr;
 
   /// The sortless (order-independent transmittance) tile loop: `order` may
   /// be in any order; the output is bit-identical for every permutation.
   TileRasterStats (*rasterize_tile_sortless)(std::span<const ProjectedSplat> splats,
                                              std::span<const std::uint32_t> order, int x0,
                                              int y0, int x1, int y1, Framebuffer& fb,
-                                             SortlessRasterScratch& scratch,
-                                             ExpMode exp_mode) = nullptr;
+                                             SortlessRasterScratch& scratch) = nullptr;
 
   /// Projects and culls cloud Gaussians [lo, hi) into args.slots/args.keep.
   void (*preprocess_chunk)(const PreprocessChunkArgs& args, std::size_t lo,
@@ -75,9 +72,14 @@ const std::vector<SimdBackend>& available_simd_backends();
 SimdBackend widest_verified_backend();
 
 /// Resolves a requested backend to a concrete (non-kAuto) one:
-///   kAuto    -> GSTG_SIMD override if set, else widest_verified_backend();
-///   explicit -> itself when available, else kScalar (one-time warning).
+///   kAuto    -> widest_verified_backend();
+///   explicit -> itself (require_simd_backend checks it first).
 SimdBackend resolve_simd_backend(SimdBackend requested);
+
+/// Throws ConfigError naming `backend` unless it is kAuto or one of
+/// available_simd_backends(). The one availability check: config
+/// validation and resolve_simd_backend both call it.
+void require_simd_backend(SimdBackend backend);
 
 /// Kernel table of a concrete backend (resolve first; throws
 /// std::invalid_argument for kAuto or a backend that is not compiled in).

@@ -32,9 +32,9 @@ struct RenderConfig {
   /// Per-tile sort algorithm (kAuto = radix for long lists, comparison for
   /// short ones; every choice produces the identical ordering).
   SortAlgo sort_algo = SortAlgo::kAuto;
-  /// SIMD kernel policy for the preprocess/rasterize hot paths: backend
-  /// (kAuto = widest verified, overridable via GSTG_SIMD) and exponential
-  /// mode (kExact keeps bit-identity with the scalar path, the default).
+  /// SIMD kernel policy for the preprocess/rasterize hot paths: the kernel
+  /// backend (kAuto = widest verified; an unavailable explicit backend is a
+  /// ConfigError). Every backend renders bit-identical images.
   SimdPolicy simd;
   /// Read by nothing; it stays only so that perfbench/ builds unchanged.
   BinningMode binning = BinningMode::kAuto;

@@ -1,8 +1,9 @@
 // Malformed-environment corpus: numeric env overrides must validate the
 // entire value. GSTG_THREADS=abc used to silently fall back to hardware
 // concurrency and GSTG_THREADS=8garbage used to be accepted as 8; both are
-// now errors that name the variable. The three mode knobs resolve through
-// one strict parser (resolve_from_env) that throws ConfigError likewise.
+// now errors that name the variable. The four mode knobs resolve through
+// one strict parser (resolve_from_env) that throws ConfigError likewise; a
+// SIMD backend the build or CPU lacks fails config validation.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -13,6 +14,9 @@
 
 #include "common/runconfig.h"
 #include "core/gstg_config.h"
+#include "core/renderer.h"
+#include "render/simd_kernels.h"
+#include "service/render_service.h"
 #include "test_helpers.h"
 
 namespace gstg {
@@ -74,10 +78,12 @@ TEST(EnvErrors, EnvPositiveSizeFallsBackOnlyWhenUnset) {
 
 /// One mode-knob value: `expected` is the mode name the matching config
 /// field must resolve to, or nullptr when the value must be rejected.
+/// `label`, when set, names the case in place of a host-dependent value.
 struct KnobCase {
   const char* var;
   const char* value;
   const char* expected;
+  const char* label = nullptr;
 };
 
 // Stable test names: gtest would otherwise print the struct's raw bytes.
@@ -86,7 +92,14 @@ void PrintTo(const KnobCase& knob, std::ostream* os) { *os << knob.var << "=" <<
 const char* resolved_field(const GsTgConfig& config, const std::string& var) {
   if (var == "GSTG_PIPELINE") return to_string(config.pipeline);
   if (var == "GSTG_RESIDENCY") return to_string(config.residency);
+  if (var == "GSTG_SIMD") return to_string(config.simd.backend);
   return to_string(config.temporal);
+}
+
+/// The widest verified backend's name, which GSTG_SIMD must accept.
+KnobCase widest_simd_case() {
+  const char* widest = to_string(widest_verified_backend());
+  return KnobCase{"GSTG_SIMD", widest, widest, "widest"};
 }
 
 class ResolveFromEnvTest : public ::testing::TestWithParam<KnobCase> {};
@@ -104,11 +117,14 @@ TEST_P(ResolveFromEnvTest, AppliesValidValuesAndRejectsUnknownOnes) {
     (void)resolve_from_env(GsTgConfig{});
     FAIL() << knob.var << "=" << knob.value << " should be rejected";
   } catch (const ConfigError& e) {
-    // Names the variable, echoes the value and lists the accepted values.
+    // Names the variable, echoes the value and lists the accepted values
+    // (the default among them).
     const std::string message = e.what();
     EXPECT_NE(message.find(knob.var), std::string::npos) << message;
     EXPECT_NE(message.find(std::string("'") + knob.value + "'"), std::string::npos) << message;
-    EXPECT_NE(message.find("verify"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::string("expected one of ")), std::string::npos) << message;
+    EXPECT_NE(message.find(resolved_field(GsTgConfig{}, knob.var)), std::string::npos)
+        << message;
   }
   EXPECT_THROW((void)resolve_from_env(GsTgConfig{}), std::invalid_argument);
   guard.unset();
@@ -130,14 +146,39 @@ INSTANTIATE_TEST_SUITE_P(
                       KnobCase{"GSTG_TEMPORAL", "off", "off"},
                       KnobCase{"GSTG_TEMPORAL", "reuse", "reuse"},
                       KnobCase{"GSTG_TEMPORAL", "verify", "verify"},
-                      KnobCase{"GSTG_TEMPORAL", "verify ", nullptr}),
+                      KnobCase{"GSTG_TEMPORAL", "verify ", nullptr},
+                      KnobCase{"GSTG_SIMD", "auto", "auto"},
+                      KnobCase{"GSTG_SIMD", "scalar", "scalar"}, widest_simd_case(),
+                      KnobCase{"GSTG_SIMD", "sse9000", nullptr},
+                      KnobCase{"GSTG_SIMD", "", nullptr},
+                      KnobCase{"GSTG_SIMD", "AVX2", nullptr}),
     [](const ::testing::TestParamInfo<KnobCase>& knob_info) {
-      std::string name = std::string(knob_info.param.var + 5) + "_" + knob_info.param.value;
+      const KnobCase& knob = knob_info.param;
+      std::string name =
+          std::string(knob.var + 5) + "_" + (knob.label != nullptr ? knob.label : knob.value);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
-      return knob_info.param.expected != nullptr ? name : name + "_rejected";
+      return knob.expected != nullptr ? name : name + "_rejected";
     });
+
+TEST(EnvErrors, UnavailableSimdBackendRejectedAtConstruction) {
+  const SimdBackend missing = testutil::first_unavailable_backend();
+  if (missing == SimdBackend::kAuto) GTEST_SKIP() << "every SIMD backend is available";
+  GsTgConfig config;
+  config.simd.backend = missing;
+  EXPECT_THROW(config.validate(), ConfigError) << to_string(missing);
+  EXPECT_THROW(Renderer{config}, ConfigError);
+  ServiceConfig service;
+  service.render = config;
+  EXPECT_THROW(RenderService{service}, ConfigError);
+
+  // Through the environment the name parses, and validation rejects it.
+  EnvGuard guard("GSTG_SIMD");
+  guard.set(to_string(missing));
+  EXPECT_EQ(resolve_from_env(GsTgConfig{}).simd.backend, missing);
+  EXPECT_THROW(RenderService{ServiceConfig{}}, ConfigError);
+}
 
 }  // namespace
 }  // namespace gstg

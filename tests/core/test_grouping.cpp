@@ -192,8 +192,7 @@ AndFilterReference and_filter_reference(const GroupedFrame& frame,
                                         std::span<const ProjectedSplat> splats, bool sortless) {
   const CellGrid& tiles = frame.tile_grid;
   const int r = frame.config.tiles_per_side();
-  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend),
-                        frame.config.simd.exp_mode};
+  const SimdPolicy simd{resolve_simd_backend(frame.config.simd.backend)};
   AndFilterReference ref{Framebuffer(tiles.image_width, tiles.image_height), {}};
   TileRasterScratch exact_scratch;
   SortlessRasterScratch sortless_scratch;

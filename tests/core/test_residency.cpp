@@ -113,14 +113,14 @@ TEST(Residency, StreamedRenderDeterministicAcrossThreadsAndBackends) {
   const CompressedCloud compressed = CompressedCloud::encode(scene.cloud);
 
   GsTgConfig reference_config = config_with(ResidencyMode::kCompressed);
-  reference_config.simd = {SimdBackend::kScalar, ExpMode::kExact};
+  reference_config.simd = {SimdBackend::kScalar};
   FrameContext reference;
   Renderer(reference_config).render(compressed, scene.camera, reference);
 
   for (const SimdBackend backend : available_simd_backends()) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       GsTgConfig config = config_with(ResidencyMode::kCompressed, threads);
-      config.simd = {backend, ExpMode::kExact};
+      config.simd = {backend};
       FrameContext got;
       Renderer(config).render(compressed, scene.camera, got);
       EXPECT_TRUE(images_identical(reference.image, got.image))

@@ -220,7 +220,7 @@ TEST(DatasetGolden, RenderOfLoadedSceneIsDeterministic) {
 
   GsTgConfig reference_config;
   reference_config.threads = 1;
-  reference_config.simd = {SimdBackend::kScalar, ExpMode::kExact};
+  reference_config.simd = {SimdBackend::kScalar};
   const RenderResult reference = render_gstg(scene.cloud, scene.cameras[0], reference_config);
   EXPECT_GT(reference.counters.visible_gaussians, 0u) << "fixture scene renders to nothing";
 
@@ -228,7 +228,7 @@ TEST(DatasetGolden, RenderOfLoadedSceneIsDeterministic) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       GsTgConfig config;
       config.threads = threads;
-      config.simd = {backend, ExpMode::kExact};
+      config.simd = {backend};
       const RenderResult got = render_gstg(scene.cloud, scene.cameras[0], config);
       EXPECT_EQ(max_abs_diff(reference.image, got.image), 0.0f)
           << to_string(backend) << " threads=" << threads;

@@ -1,5 +1,5 @@
 // gstg-lint fixture: R5 must flag naked lock()/unlock(), rand(),
-// std::function in hot scope, and a mode-knob env read in library scope
+// std::function in hot scope, and mode-knob env reads in library scope
 // (fixture mode applies the union of scopes).
 #include <cstdlib>
 #include <functional>
@@ -17,5 +17,7 @@ int unsafe_sample(const std::function<int()>& pick) {
 }
 
 const char* pipeline_override() { return std::getenv("GSTG_PIPELINE"); }
+
+const char* simd_override() { return std::getenv("GSTG_SIMD"); }
 
 }  // namespace fixture

@@ -209,14 +209,14 @@ TileRasterStats expect_matches_reference(const std::vector<ProjectedSplat>& spla
     const SimdKernels& k = simd_kernels(backend);
     TileRasterScratch fresh;
     TileRasterScratch warm;
-    k.rasterize_tile(splats, order, 0, 0, 96, 96, fb, warm, ExpMode::kExact);
+    k.rasterize_tile(splats, order, 0, 0, 96, 96, fb, warm);
     for (TileRasterScratch* sc : {&fresh, &warm}) {
       const std::string where = std::string(to_string(backend)) + " tile " +
                                 std::to_string(x1 - x0) + "x" + std::to_string(y1 - y0) +
                                 (sc == &fresh ? " fresh" : " warm");
       paint(fb);
       const TileRasterStats got =
-          k.rasterize_tile(splats, order, x0, y0, x1, y1, fb, *sc, ExpMode::kExact);
+          k.rasterize_tile(splats, order, x0, y0, x1, y1, fb, *sc);
       EXPECT_EQ(got.alpha_computations, want.alpha_computations) << where;
       EXPECT_EQ(got.blend_ops, want.blend_ops) << where;
       EXPECT_EQ(got.early_exit_pixels, want.early_exit_pixels) << where;
@@ -271,7 +271,7 @@ TEST(RasterKernel, FullyRejectedListStillFlushesTheTile) {
     paint(fb);
     TileRasterScratch sc;
     const TileRasterStats st =
-        simd_kernels(backend).rasterize_tile(splats, order, 0, 0, 16, 16, fb, sc, ExpMode::kExact);
+        simd_kernels(backend).rasterize_tile(splats, order, 0, 0, 16, 16, fb, sc);
     EXPECT_EQ(st.alpha_computations, 0u) << to_string(backend);
     EXPECT_EQ(st.pixel_list_work, 3u * 256u);
     for (const Vec3& p : fb.pixels()) EXPECT_EQ(p, (Vec3{0.0f, 0.0f, 0.0f}));

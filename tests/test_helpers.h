@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <random>
 #include <string>
@@ -16,6 +17,7 @@
 #include "render/pipeline.h"
 #include "render/preprocess.h"
 #include "render/rasterize.h"
+#include "render/simd_kernels.h"
 #include "render/sort.h"
 
 namespace gstg::testutil {
@@ -87,6 +89,17 @@ inline void expect_counters_equal(const RenderCounters& want, const RenderCounte
   EXPECT_EQ(want.total_pixels, got.total_pixels);
   EXPECT_EQ(want.bitmask_tests, got.bitmask_tests);
   EXPECT_EQ(want.filter_checks, got.filter_checks);
+}
+
+/// The first SIMD backend this build or CPU cannot run, or kAuto when every
+/// concrete backend is available.
+inline SimdBackend first_unavailable_backend() {
+  const std::vector<SimdBackend>& avail = available_simd_backends();
+  for (const SimdBackend b : {SimdBackend::kScalar, SimdBackend::kSse4, SimdBackend::kAvx2,
+                              SimdBackend::kNeon}) {
+    if (std::find(avail.begin(), avail.end(), b) == avail.end()) return b;
+  }
+  return SimdBackend::kAuto;
 }
 
 /// Restores one environment variable on scope exit, so a failing test

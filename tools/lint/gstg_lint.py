@@ -94,7 +94,7 @@ R5_HOT_FILES = ("src/common/parallel.h",)
 # R5 library scope: the mode knobs are resolved once at the process edge
 # (examples, RenderService), never in the middle of a render.
 R5_LIBRARY_DIRS = ("src/render", "src/core", "src/temporal")
-R5_MODE_KNOBS = frozenset(("GSTG_PIPELINE", "GSTG_RESIDENCY", "GSTG_TEMPORAL"))
+R5_MODE_KNOBS = frozenset(("GSTG_PIPELINE", "GSTG_RESIDENCY", "GSTG_SIMD", "GSTG_TEMPORAL"))
 
 CPP_KEYWORDS = frozenset(
     """alignas alignof asm auto bool break case catch char class co_await co_return co_yield
