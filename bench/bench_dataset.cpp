@@ -42,7 +42,6 @@ namespace {
 using namespace gstg;
 using benchutil::JsonWriter;
 using benchutil::cached_scene;
-using benchutil::split_csv;
 
 /// The residency bar: the fp16 form must make the resident Gaussian state
 /// at least this many times smaller than the float32 SoA, on every scene.
@@ -91,8 +90,7 @@ int main(int argc, char** argv) {
     const int repeat = args.get_int("repeat", 3);
     const std::size_t threads = args.get_size("threads", 0);
     const std::string data_dir = args.get("data-dir", GSTG_DATASET_FIXTURE_DIR);
-    std::vector<std::string> scenes = split_csv(args.get("scenes", ""));
-    if (scenes.empty()) scenes = benchutil::algo_scene_names();
+    const std::vector<std::string> scenes = benchutil::requested_scenes(args);
 
     benchutil::print_scale_banner("bench_dataset: scene ingestion + compressed residency");
 

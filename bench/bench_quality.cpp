@@ -39,7 +39,6 @@ namespace {
 using namespace gstg;
 using benchutil::JsonWriter;
 using benchutil::cached_scene;
-using benchutil::split_csv;
 
 struct PipelineRun {
   RenderResult result;
@@ -73,8 +72,7 @@ int main(int argc, char** argv) {
     const std::string out_dir = args.get("out-dir", ".");
     const int repeat = args.get_int("repeat", 3);
     const std::size_t threads = args.get_size("threads", 0);
-    std::vector<std::string> scenes = split_csv(args.get("scenes", ""));
-    if (scenes.empty()) scenes = benchutil::algo_scene_names();
+    const std::vector<std::string> scenes = benchutil::requested_scenes(args);
 
     benchutil::print_scale_banner("bench_quality: sortless pipeline sort-cost-vs-quality frontier");
 

@@ -38,7 +38,6 @@ namespace {
 using namespace gstg;
 using benchutil::JsonWriter;
 using benchutil::cached_scene;
-using benchutil::split_csv;
 
 /// One multi-client run against a fresh service: every client streams the
 /// same frame sequence under its own session. Returns wall-clock and
@@ -144,8 +143,7 @@ int main(int argc, char** argv) {
     if (frames < 1 || verify_frames < 1) {
       throw std::invalid_argument("--frames and --verify-frames must be >= 1");
     }
-    std::vector<std::string> scenes = split_csv(args.get("scenes", ""));
-    if (scenes.empty()) scenes = benchutil::algo_scene_names();
+    const std::vector<std::string> scenes = benchutil::requested_scenes(args);
 
     benchutil::print_scale_banner("bench_service: async multi-client render service");
 

@@ -30,7 +30,6 @@ namespace {
 using namespace gstg;
 using benchutil::JsonWriter;
 using benchutil::cached_scene;
-using benchutil::split_csv;
 
 }  // namespace
 
@@ -43,8 +42,7 @@ int main(int argc, char** argv) {
     const int move = args.get_int("move", 2);
     GsTgConfig base_config;
     base_config.threads = args.get_size("threads", 0);
-    std::vector<std::string> scenes = split_csv(args.get("scenes", ""));
-    if (scenes.empty()) scenes = benchutil::algo_scene_names();
+    const std::vector<std::string> scenes = benchutil::requested_scenes(args);
 
     benchutil::print_scale_banner("bench_temporal: cross-frame group-sort reuse");
 

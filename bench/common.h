@@ -14,6 +14,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "common/cli.h"
 #include "common/runconfig.h"
 #include "scene/scene.h"
 
@@ -40,8 +41,7 @@ inline const Scene& cached_scene(const std::string& name) {
   return cache.emplace(name, generate_scene(name)).first->second;
 }
 
-/// Comma-separated list -> items (empty fields dropped), for --scenes=...
-/// flags. Shared by the JSON drivers (run_all, bench_temporal).
+/// Comma-separated list -> items (empty fields dropped).
 inline std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
   std::string::size_type start = 0;
@@ -53,6 +53,16 @@ inline std::vector<std::string> split_csv(const std::string& csv) {
     start = comma + 1;
   }
   return out;
+}
+
+/// The JSON drivers' --scenes=a,b list; absent or empty means
+/// algo_scene_names(). Every name is checked with scene_info, so an unknown
+/// one throws before the driver opens (and truncates) its JSON file.
+inline std::vector<std::string> requested_scenes(const CliArgs& args) {
+  std::vector<std::string> names = split_csv(args.get("scenes", ""));
+  if (names.empty()) names = algo_scene_names();
+  for (const std::string& name : names) scene_info(name);
+  return names;
 }
 
 /// Peak resident set size of this process in bytes, or 0 when unavailable.

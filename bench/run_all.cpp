@@ -37,7 +37,6 @@ namespace {
 using namespace gstg;
 using benchutil::JsonWriter;
 using benchutil::cached_scene;
-using benchutil::split_csv;
 
 void write_header(JsonWriter& json, const char* kind) {
   const RunScale scale = run_scale_from_env();
@@ -94,51 +93,6 @@ double best_ms_of(int repeat, const Fn& fn) {
   return best;
 }
 
-/// Isolated group-sort timing: the unsorted frame inputs are built once,
-/// then each algorithm sorts a fresh copy. This is the acceptance signal
-/// that the packed-key radix path is no slower than the comparison sort it
-/// replaced.
-struct GroupSortTiming {
-  double comparison_ms = 0.0;
-  double auto_ms = 0.0;
-  double radix_ms = 0.0;
-};
-
-GroupSortTiming time_group_sort(const Scene& scene, int repeat, std::size_t threads) {
-  GsTgConfig config;
-  config.threads = threads;
-
-  RenderCounters counters;
-  const std::vector<ProjectedSplat> splats =
-      preprocess(scene.cloud, scene.camera, config.render_config(), counters);
-  const CellGrid group_grid =
-      CellGrid::over_image(scene.camera.width(), scene.camera.height(), config.group_size);
-  const CellGrid tile_grid =
-      CellGrid::over_image(scene.camera.width(), scene.camera.height(), config.tile_size);
-  const BinnedSplats bins = identify_groups(splats, group_grid, config, counters);
-  std::vector<TileMask> masks;
-  generate_bitmasks_into(splats, bins, tile_grid, config, counters, masks);
-
-  const auto run = [&](SortAlgo algo) {
-    SortScratch scratch;
-    double best = 1e300;
-    for (int i = 0; i < std::max(1, repeat); ++i) {
-      BinnedSplats work = bins;  // copies stay outside the timed section
-      std::vector<TileMask> work_masks = masks;
-      RenderCounters c;
-      Timer timer;
-      sort_groups(work, work_masks, splats, threads, c, algo, &scratch);
-      best = std::min(best, timer.lap_ms());
-    }
-    return best;
-  };
-  GroupSortTiming t;
-  t.comparison_ms = run(SortAlgo::kComparison);
-  t.auto_ms = run(SortAlgo::kAuto);
-  t.radix_ms = run(SortAlgo::kRadix);
-  return t;
-}
-
 bool run_software(const std::vector<std::string>& scenes, int repeat, std::size_t threads,
                   const std::string& path) {
   bool lossless_ok = true;
@@ -193,17 +147,6 @@ bool run_software(const std::vector<std::string>& scenes, int repeat, std::size_
     json.value("sort_pair_reduction",
                static_cast<double>(baseline.counters.sort_pairs) /
                    static_cast<double>(gstg.counters.sort_pairs ? gstg.counters.sort_pairs : 1));
-    json.close_object();
-
-    // Isolated group-sort A/B: the default (kAuto) path must be no slower
-    // than the comparison sort it replaced.
-    const GroupSortTiming gs = time_group_sort(scene, repeat, threads);
-    json.open_object("group_sort");
-    json.value("comparison_ms", gs.comparison_ms);
-    json.value("auto_ms", gs.auto_ms);
-    json.value("radix_ms", gs.radix_ms);
-    json.value("speedup_auto_vs_comparison",
-               gs.auto_ms > 0.0 ? gs.comparison_ms / gs.auto_ms : 0.0);
     json.close_object();
 
     // Compressed residency A/B: the fp16 resident form halves the resident
@@ -403,9 +346,7 @@ int main(int argc, char** argv) {
     const std::string out_dir = args.get("out-dir", ".");
     const int repeat = args.get_int("repeat", 3);
     const std::size_t threads = args.get_size("threads", 0);
-    std::vector<std::string> scenes =
-        split_csv(args.get("scenes", ""));
-    if (scenes.empty()) scenes = benchutil::algo_scene_names();
+    const std::vector<std::string> scenes = benchutil::requested_scenes(args);
 
     benchutil::print_scale_banner("run_all: software + hardware sweep");
     const bool lossless_ok =

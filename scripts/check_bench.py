@@ -505,6 +505,19 @@ def compare_service(gate, fresh, baseline, check_times):
             )
 
 
+# The optional bench sections, in the order they are checked: each
+# --<flag>=<fresh> pairs with --<flag>-baseline=<baseline>. Value: the
+# compare function and whether it takes check_times.
+SECTION_FLAGS = {
+    "temporal": (compare_temporal, False),
+    "service": (compare_service, True),
+    "dataset": (compare_dataset, True),
+    "quality": (compare_quality, True),
+    "telemetry": (compare_telemetry, True),
+    "hardware": (compare_hardware, False),
+}
+
+
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
     opts = [a for a in argv[1:] if a.startswith("--")]
@@ -513,68 +526,22 @@ def main(argv):
         return 1
     tolerance = 0.15
     check_times = False
-    temporal_fresh_path = None
-    temporal_baseline_path = None
-    service_fresh_path = None
-    service_baseline_path = None
-    dataset_fresh_path = None
-    dataset_baseline_path = None
-    quality_fresh_path = None
-    quality_baseline_path = None
-    telemetry_fresh_path = None
-    telemetry_baseline_path = None
-    hardware_fresh_path = None
-    hardware_baseline_path = None
+    paths = {}  # "temporal" / "temporal-baseline" / ... -> path
     for opt in opts:
+        name, has_value, value = opt[2:].partition("=")
         if opt.startswith("--tolerance="):
-            tolerance = float(opt.split("=", 1)[1])
+            tolerance = float(value)
         elif opt == "--check-times":
             check_times = True
-        elif opt.startswith("--temporal="):
-            temporal_fresh_path = opt.split("=", 1)[1]
-        elif opt.startswith("--temporal-baseline="):
-            temporal_baseline_path = opt.split("=", 1)[1]
-        elif opt.startswith("--service="):
-            service_fresh_path = opt.split("=", 1)[1]
-        elif opt.startswith("--service-baseline="):
-            service_baseline_path = opt.split("=", 1)[1]
-        elif opt.startswith("--dataset="):
-            dataset_fresh_path = opt.split("=", 1)[1]
-        elif opt.startswith("--dataset-baseline="):
-            dataset_baseline_path = opt.split("=", 1)[1]
-        elif opt.startswith("--quality="):
-            quality_fresh_path = opt.split("=", 1)[1]
-        elif opt.startswith("--quality-baseline="):
-            quality_baseline_path = opt.split("=", 1)[1]
-        elif opt.startswith("--telemetry-baseline="):
-            telemetry_baseline_path = opt.split("=", 1)[1]
-        elif opt.startswith("--telemetry="):
-            telemetry_fresh_path = opt.split("=", 1)[1]
-        elif opt.startswith("--hardware-baseline="):
-            hardware_baseline_path = opt.split("=", 1)[1]
-        elif opt.startswith("--hardware="):
-            hardware_fresh_path = opt.split("=", 1)[1]
+        elif has_value and name.removesuffix("-baseline") in SECTION_FLAGS:
+            paths[name] = value
         else:
             print(f"check_bench: unknown option {opt}")
             return 1
-    if (temporal_fresh_path is None) != (temporal_baseline_path is None):
-        print("check_bench: --temporal and --temporal-baseline must be given together")
-        return 1
-    if (service_fresh_path is None) != (service_baseline_path is None):
-        print("check_bench: --service and --service-baseline must be given together")
-        return 1
-    if (dataset_fresh_path is None) != (dataset_baseline_path is None):
-        print("check_bench: --dataset and --dataset-baseline must be given together")
-        return 1
-    if (quality_fresh_path is None) != (quality_baseline_path is None):
-        print("check_bench: --quality and --quality-baseline must be given together")
-        return 1
-    if (telemetry_fresh_path is None) != (telemetry_baseline_path is None):
-        print("check_bench: --telemetry and --telemetry-baseline must be given together")
-        return 1
-    if (hardware_fresh_path is None) != (hardware_baseline_path is None):
-        print("check_bench: --hardware and --hardware-baseline must be given together")
-        return 1
+    for flag in SECTION_FLAGS:
+        if (flag in paths) != (f"{flag}-baseline" in paths):
+            print(f"check_bench: --{flag} and --{flag}-baseline must be given together")
+            return 1
 
     with open(args[0]) as f:
         fresh = json.load(f)
@@ -650,47 +617,17 @@ def main(argv):
                 "exact-mode framebuffer diverged from the scalar backend",
             )
 
-    if temporal_fresh_path is not None:
-        with open(temporal_fresh_path) as f:
-            temporal_fresh = json.load(f)
-        with open(temporal_baseline_path) as f:
-            temporal_baseline = json.load(f)
-        compare_temporal(gate, temporal_fresh, temporal_baseline)
-
-    if service_fresh_path is not None:
-        with open(service_fresh_path) as f:
-            service_fresh = json.load(f)
-        with open(service_baseline_path) as f:
-            service_baseline = json.load(f)
-        compare_service(gate, service_fresh, service_baseline, check_times)
-
-    if dataset_fresh_path is not None:
-        with open(dataset_fresh_path) as f:
-            dataset_fresh = json.load(f)
-        with open(dataset_baseline_path) as f:
-            dataset_baseline = json.load(f)
-        compare_dataset(gate, dataset_fresh, dataset_baseline, check_times)
-
-    if quality_fresh_path is not None:
-        with open(quality_fresh_path) as f:
-            quality_fresh = json.load(f)
-        with open(quality_baseline_path) as f:
-            quality_baseline = json.load(f)
-        compare_quality(gate, quality_fresh, quality_baseline, check_times)
-
-    if telemetry_fresh_path is not None:
-        with open(telemetry_fresh_path) as f:
-            telemetry_fresh = json.load(f)
-        with open(telemetry_baseline_path) as f:
-            telemetry_baseline = json.load(f)
-        compare_telemetry(gate, telemetry_fresh, telemetry_baseline, check_times)
-
-    if hardware_fresh_path is not None:
-        with open(hardware_fresh_path) as f:
-            hardware_fresh = json.load(f)
-        with open(hardware_baseline_path) as f:
-            hardware_baseline = json.load(f)
-        compare_hardware(gate, hardware_fresh, hardware_baseline)
+    for flag, (compare, takes_check_times) in SECTION_FLAGS.items():
+        if flag not in paths:
+            continue
+        with open(paths[flag]) as f:
+            section_fresh = json.load(f)
+        with open(paths[f"{flag}-baseline"]) as f:
+            section_baseline = json.load(f)
+        if takes_check_times:
+            compare(gate, section_fresh, section_baseline, check_times)
+        else:
+            compare(gate, section_fresh, section_baseline)
 
     if gate.failures:
         print(f"check_bench: FAIL — {len(gate.failures)} violation(s), {gate.checked} checks:")

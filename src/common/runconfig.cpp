@@ -12,13 +12,11 @@ namespace gstg {
 RunScale run_scale_from_env() {
   const char* env = std::getenv("GSTG_SCALE");  // NOLINT(concurrency-mt-unsafe): read once before worker threads exist
   const std::string value = env ? env : "bench";
-  if (value == "full") {
-    return RunScale{.resolution_divisor = 1, .gaussian_divisor = 1};
-  }
-  if (value == "small") {
-    return RunScale{.resolution_divisor = 8, .gaussian_divisor = 64};
-  }
-  return RunScale{};  // "bench" default
+  if (value == "bench") return RunScale{};
+  if (value == "small") return RunScale{.resolution_divisor = 8, .gaussian_divisor = 64};
+  if (value == "full") return RunScale{.resolution_divisor = 1, .gaussian_divisor = 1};
+  throw ConfigError("GSTG_SCALE: unknown value '" + value +
+                    "' (expected one of bench/small/full)");
 }
 
 const char* to_string(TemporalMode mode) {

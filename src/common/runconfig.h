@@ -60,6 +60,8 @@ struct RunScale {
 ///   unset / "bench" -> reduced scale (divisors 4 / 16)
 ///   "small"         -> extra-small scale for smoke tests (divisors 8 / 64)
 ///   "full"          -> paper scale (divisors 1 / 1)
+/// Any other value (empty, misspelt, other case) throws ConfigError naming
+/// the variable, the value and the accepted names.
 RunScale run_scale_from_env();
 
 /// Number of worker threads for the software pipelines (GSTG_THREADS or

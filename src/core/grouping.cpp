@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
 #include "common/parallel.h"
@@ -93,41 +92,33 @@ void generate_bitmasks_into(std::span<const ProjectedSplat> splats,
 }
 
 void sort_group_entries(std::uint32_t* ids, TileMask* masks, std::size_t n,
-                        std::span<const ProjectedSplat> splats, SortAlgo algo, int key_bits,
-                        int index_bits, SortWorkerScratch& ws) {
+                        std::span<const ProjectedSplat> splats, int key_bits, int index_bits,
+                        SortWorkerScratch& ws) {
   ws.pairs += n;
   if (n <= 1) return;
 
-  // Packed (depth_bits, index) keys order exactly as the old comparator.
-  // The value half carries the id (high 32) plus the entry's original
-  // position (low 32), which gathers the mask from the snapshot in ws.keys
-  // after the sort.
+  // Packed (depth_bits, index) keys order by (depth, index). The value half
+  // carries the id (high 32) plus the entry's original position (low 32),
+  // which gathers the mask from the snapshot in ws.masks after the sort.
   if (ws.items.size() < n) ws.items.resize(n);
-  if (ws.keys.size() < n) ws.keys.resize(n);
+  if (ws.masks.size() < n) ws.masks.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
     const std::uint32_t id = ids[k];
     ws.items[k] = {pack_depth_index_key(splats[id].depth, splats[id].index, index_bits),
                    (static_cast<std::uint64_t>(id) << 32) | k};
-    ws.keys[k] = masks[k];
+    ws.masks[k] = masks[k];
   }
-  if (use_radix_sort(algo, n)) {
-    radix_sort_pairs(ws.items, ws.items_tmp, n, key_bits);
-    ws.volume += static_cast<double>(n) * radix_pass_count(key_bits);
-  } else {
-    std::sort(ws.items.begin(), ws.items.begin() + static_cast<std::ptrdiff_t>(n),
-              [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-    ws.volume += static_cast<double>(n) * std::log2(static_cast<double>(n));
-  }
+  sort_items(ws, n, key_bits);
   for (std::size_t k = 0; k < n; ++k) {
     const std::uint64_t value = ws.items[k].value;
     ids[k] = static_cast<std::uint32_t>(value >> 32);
-    masks[k] = ws.keys[static_cast<std::uint32_t>(value)];
+    masks[k] = ws.masks[static_cast<std::uint32_t>(value)];
   }
 }
 
 void sort_groups(BinnedSplats& group_bins, std::vector<TileMask>& masks,
                  std::span<const ProjectedSplat> splats, std::size_t threads,
-                 RenderCounters& counters, SortAlgo algo, SortScratch* scratch) {
+                 RenderCounters& counters, SortAlgo, SortScratch* scratch) {
   if (masks.size() != group_bins.splat_ids.size()) {
     throw std::invalid_argument("sort_groups: mask array size mismatch");
   }
@@ -154,7 +145,7 @@ void sort_groups(BinnedSplats& group_bins, std::vector<TileMask>& masks,
       const std::uint32_t begin = group_bins.offsets[g];
       const std::uint32_t end = group_bins.offsets[g + 1];
       sort_group_entries(group_bins.splat_ids.data() + begin, masks.data() + begin, end - begin,
-                         splats, algo, key_bits, index_bits, ws);
+                         splats, key_bits, index_bits, ws);
     }
   }, threads);
 

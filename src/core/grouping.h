@@ -51,14 +51,15 @@ void generate_bitmasks_into(std::span<const ProjectedSplat> splats,
 
 /// Group-wise sorting: orders each group's (splat, mask) entries by
 /// (depth, index). A filtered subsequence is then automatically in the same
-/// order as the baseline's per-tile sorted list. `algo` selects comparison
-/// or packed-key radix sorting per group (identical orderings; see
-/// render/sort_keys.h) and `scratch` reuses one SortScratch across frames
-/// (nullptr = self-contained call).
+/// order as the baseline's per-tile sorted list. Each group's length picks
+/// its sort (sort_items, render/sort_keys.h). The unnamed SortAlgo
+/// is read by nothing; it stays only so that perfbench/ builds unchanged.
+/// `scratch` reuses one SortScratch across frames (nullptr = self-contained
+/// call).
 GSTG_HOT_NOALLOC
 void sort_groups(BinnedSplats& group_bins, std::vector<TileMask>& masks,
                  std::span<const ProjectedSplat> splats, std::size_t threads,
-                 RenderCounters& counters, SortAlgo algo = SortAlgo::kAuto,
+                 RenderCounters& counters, SortAlgo = SortAlgo::kAuto,
                  SortScratch* scratch = nullptr);
 
 /// Sorts one group's entry range ids[0..n) / masks[0..n) in place by the
@@ -70,8 +71,8 @@ void sort_groups(BinnedSplats& group_bins, std::vector<TileMask>& masks,
 /// depth_index_key_bits over the frame's maximum splat index.
 GSTG_HOT_NOALLOC
 void sort_group_entries(std::uint32_t* ids, TileMask* masks, std::size_t n,
-                        std::span<const ProjectedSplat> splats, SortAlgo algo, int key_bits,
-                        int index_bits, SortWorkerScratch& ws);
+                        std::span<const ProjectedSplat> splats, int key_bits, int index_bits,
+                        SortWorkerScratch& ws);
 
 /// Reusable rasterization buffers for rasterize_grouped and
 /// rasterize_grouped_sortless: the tile-major lists expanded from the

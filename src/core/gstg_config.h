@@ -30,8 +30,7 @@ struct GsTgConfig {
   Boundary mask_boundary = Boundary::kEllipse;
   /// Opacity-aware footprint extent (FlashGS-style) instead of 3-sigma.
   bool opacity_aware_rho = false;
-  /// Group-sort algorithm: packed-key radix, comparison sort, or kAuto
-  /// (radix above the cutoff). All choices order identically.
+  /// Read by nothing; it stays only so that perfbench/ builds unchanged.
   SortAlgo sort_algo = SortAlgo::kAuto;
   /// SIMD kernel policy for preprocess/rasterize (see common/simd.h): the
   /// kAuto backend resolves to the widest verified one; an explicit backend
@@ -78,7 +77,6 @@ struct GsTgConfig {
     rc.tile_size = tile_size;
     rc.boundary = mask_boundary;
     rc.opacity_aware_rho = opacity_aware_rho;
-    rc.sort_algo = sort_algo;
     rc.simd = simd;
     rc.pipeline = pipeline;
     rc.threads = threads;
@@ -156,7 +154,6 @@ struct GsTgConfig {
   config.group_boundary = rc.boundary;
   config.mask_boundary = rc.boundary;
   config.opacity_aware_rho = rc.opacity_aware_rho;
-  config.sort_algo = rc.sort_algo;
   config.simd = rc.simd;
   config.pipeline = rc.pipeline;
   config.threads = rc.threads;

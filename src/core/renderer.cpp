@@ -163,7 +163,7 @@ void Renderer::begin_frame(const GaussianCloud& cloud, const Camera& camera, Fra
 void Renderer::order_groups(FrameContext& ctx) const {
   GSTG_SPAN("sort_groups");
   sort_groups(ctx.frame.group_bins, ctx.frame.masks, ctx.splats, config_.threads, ctx.counters,
-              config_.sort_algo, &ctx.sort);
+              SortAlgo::kAuto, &ctx.sort);
 }
 
 void Renderer::end_frame(const Camera& camera, FrameContext& ctx, Timer& timer) const {
@@ -195,7 +195,7 @@ void Renderer::end_frame(const Camera& camera, FrameContext& ctx, Timer& timer) 
     GSTG_SPAN("quality_audit");
     RenderCounters audit;
     sort_groups(ctx.frame.group_bins, ctx.frame.masks, ctx.splats, config_.threads, audit,
-                config_.sort_algo, &ctx.sort);
+                SortAlgo::kAuto, &ctx.sort);
     ctx.verify_image.resize(camera.width(), camera.height());
     rasterize_grouped(ctx.frame, ctx.splats, ctx.verify_image, config_.threads, audit,
                       &ctx.raster);

@@ -1,15 +1,13 @@
 #include "render/sort.h"
 
 #include <algorithm>
-#include <cmath>
-#include <vector>
 
 #include "common/parallel.h"
 
 namespace gstg {
 
 void sort_cell_lists(BinnedSplats& bins, std::span<const ProjectedSplat> splats,
-                     std::size_t threads, RenderCounters& counters, SortAlgo algo,
+                     std::size_t threads, RenderCounters& counters, SortAlgo,
                      SortScratch* scratch) {
   const std::size_t cells = static_cast<std::size_t>(bins.grid.cell_count());
 
@@ -37,22 +35,15 @@ void sort_cell_lists(BinnedSplats& bins, std::span<const ProjectedSplat> splats,
       ws.pairs += n;
       if (n <= 1) continue;
 
-      // Packed (depth_bits, index) keys order exactly as the comparator
-      // below; the id payload rides along in the value half.
+      // Packed (depth_bits, index) keys order by (depth, index); the id
+      // payload rides along in the value half.
       if (ws.items.size() < n) ws.items.resize(n);
       for (std::size_t k = 0; k < n; ++k) {
         const std::uint32_t id = bins.splat_ids[begin + k];
         ws.items[k] = {pack_depth_index_key(splats[id].depth, splats[id].index, index_bits),
                        id};
       }
-      if (use_radix_sort(algo, n)) {
-        radix_sort_pairs(ws.items, ws.items_tmp, n, key_bits);
-        ws.volume += static_cast<double>(n) * radix_pass_count(key_bits);
-      } else {
-        std::sort(ws.items.begin(), ws.items.begin() + static_cast<std::ptrdiff_t>(n),
-                  [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-        ws.volume += static_cast<double>(n) * std::log2(static_cast<double>(n));
-      }
+      sort_items(ws, n, key_bits);
       for (std::size_t k = 0; k < n; ++k) {
         bins.splat_ids[begin + k] = static_cast<std::uint32_t>(ws.items[k].value);
       }

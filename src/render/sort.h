@@ -14,13 +14,14 @@ namespace gstg {
 
 /// Sorts each cell list of `bins` in place by (depth, original index)
 /// ascending — the index tiebreak makes the order total and deterministic.
-/// `algo` selects comparison or packed-key radix sorting per list (identical
-/// orderings; see render/sort_keys.h). `scratch` reuses one SortScratch
-/// across frames; pass nullptr for a self-contained call. Accumulates
-/// sort_pairs and sort_comparison_volume into `counters`.
+/// Each list's length picks its sort (sort_items, render/sort_keys.h).
+/// The unnamed SortAlgo is read by nothing; it stays only so that
+/// perfbench/ builds unchanged. `scratch` reuses one SortScratch across
+/// frames; pass nullptr for a self-contained call. Accumulates sort_pairs
+/// and sort_comparison_volume into `counters`.
 GSTG_HOT_NOALLOC
 void sort_cell_lists(BinnedSplats& bins, std::span<const ProjectedSplat> splats,
                      std::size_t threads, RenderCounters& counters,
-                     SortAlgo algo = SortAlgo::kAuto, SortScratch* scratch = nullptr);
+                     SortAlgo = SortAlgo::kAuto, SortScratch* scratch = nullptr);
 
 }  // namespace gstg

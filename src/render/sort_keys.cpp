@@ -1,7 +1,9 @@
 #include "render/sort_keys.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 
 namespace gstg {
 
@@ -11,14 +13,9 @@ std::uint64_t pack_depth_index_key(float depth, std::uint32_t index, int index_b
   return (static_cast<std::uint64_t>(depth_bits(depth)) << index_bits) | index;
 }
 
-namespace {
-
 // One LSD pass per 8-bit digit: histogram, exclusive prefix, stable scatter.
-// KeyOf extracts the sort key from an element so the same loop serves both
-// the keys-only and the key/payload arrays.
-template <typename Elem, typename KeyOf>
-void radix_sort_impl(std::vector<Elem>& elems, std::vector<Elem>& tmp, std::size_t n,
-                     int key_bits, const KeyOf& key_of) {
+void radix_sort_pairs(std::vector<KeyValue>& items, std::vector<KeyValue>& tmp, std::size_t n,
+                      int key_bits) {
   if (n <= 1) return;
   if (tmp.size() < n) tmp.resize(n);
   const int passes = radix_pass_count(key_bits);
@@ -26,7 +23,7 @@ void radix_sort_impl(std::vector<Elem>& elems, std::vector<Elem>& tmp, std::size
     const int shift = pass * 8;
     std::array<std::size_t, 256> histogram{};
     for (std::size_t k = 0; k < n; ++k) {
-      ++histogram[(key_of(elems[k]) >> shift) & 0xffu];
+      ++histogram[(items[k].key >> shift) & 0xffu];
     }
     std::size_t running = 0;
     for (std::size_t d = 0; d < 256; ++d) {
@@ -35,22 +32,21 @@ void radix_sort_impl(std::vector<Elem>& elems, std::vector<Elem>& tmp, std::size
       running += count;
     }
     for (std::size_t k = 0; k < n; ++k) {
-      tmp[histogram[(key_of(elems[k]) >> shift) & 0xffu]++] = elems[k];
+      tmp[histogram[(items[k].key >> shift) & 0xffu]++] = items[k];
     }
-    elems.swap(tmp);  // result of every pass ends in `elems`
+    items.swap(tmp);  // result of every pass ends in `items`
   }
 }
 
-}  // namespace
-
-void radix_sort_keys(std::vector<std::uint64_t>& keys, std::vector<std::uint64_t>& tmp,
-                     std::size_t n, int key_bits) {
-  radix_sort_impl(keys, tmp, n, key_bits, [](std::uint64_t k) { return k; });
-}
-
-void radix_sort_pairs(std::vector<KeyValue>& items, std::vector<KeyValue>& tmp, std::size_t n,
-                      int key_bits) {
-  radix_sort_impl(items, tmp, n, key_bits, [](const KeyValue& kv) { return kv.key; });
+void sort_items(SortWorkerScratch& ws, std::size_t n, int key_bits) {
+  if (n >= kRadixSortCutoff) {
+    radix_sort_pairs(ws.items, ws.items_tmp, n, key_bits);
+    ws.volume += static_cast<double>(n) * radix_pass_count(key_bits);
+  } else {
+    std::sort(ws.items.begin(), ws.items.begin() + static_cast<std::ptrdiff_t>(n),
+              [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
+    ws.volume += static_cast<double>(n) * std::log2(static_cast<double>(n));
+  }
 }
 
 }  // namespace gstg

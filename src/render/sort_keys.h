@@ -1,11 +1,8 @@
-// Packed-key stable LSD radix sorting, shared by every sorting path:
-// the baseline per-tile sort (render/sort.h), the GS-TG group sort
-// (core/grouping.h), and the GPU-style global duplicated-key sort
-// (render/global_sort.h). Positive IEEE floats order identically to their
-// bit patterns, so a (depth_bits, index) 64-bit key sorted ascending
-// reproduces the (depth, original index) comparison order exactly — the
-// radix and comparison paths are interchangeable and tested against each
-// other.
+// Packed-key list sorting, shared by both sorting paths: the per-tile sort
+// (render/sort.h) and the GS-TG group sort (core/grouping.h). Positive IEEE
+// floats order identically to their bit patterns, so a (depth_bits, index)
+// 64-bit key sorted ascending reproduces the (depth, original index) order
+// exactly. sort_items alone picks radix or comparison sort, by list length.
 #pragma once
 
 #include <bit>
@@ -17,19 +14,12 @@
 
 namespace gstg {
 
-/// Sorting algorithm selection for the per-cell / per-group sorts.
-/// kAuto picks radix for lists of at least kRadixSortCutoff entries and
-/// comparison sort below it (the radix histogram overhead dominates on tiny
-/// lists); both produce identical orderings.
-enum class SortAlgo : std::uint8_t { kAuto, kComparison, kRadix };
+/// Read by nothing; it stays only so that perfbench/ builds unchanged.
+enum class SortAlgo : std::uint8_t { kAuto };
 
-/// List length at which kAuto switches from comparison sort to radix sort.
+/// List length from which sort_items uses radix sort instead of comparison
+/// sort (below it the radix histogram overhead dominates).
 inline constexpr std::size_t kRadixSortCutoff = 64;
-
-/// True when `algo` resolves to the radix path for an n-entry list.
-[[nodiscard]] constexpr bool use_radix_sort(SortAlgo algo, std::size_t n) {
-  return algo == SortAlgo::kRadix || (algo == SortAlgo::kAuto && n >= kRadixSortCutoff);
-}
 
 /// Monotonic bit pattern of a positive float: d0 < d1 implies
 /// bits(d0) < bits(d1). Depths are positive after near-plane culling.
@@ -44,11 +34,6 @@ inline constexpr std::size_t kRadixSortCutoff = 64;
 [[nodiscard]] std::uint64_t pack_depth_index_key(float depth, std::uint32_t index,
                                                 int index_bits = 32);
 
-/// Index (low) half of a key packed with the default 32-bit index width.
-[[nodiscard]] constexpr std::uint32_t key_index(std::uint64_t key) {
-  return static_cast<std::uint32_t>(key);
-}
-
 /// Number of 8-bit LSD passes needed to cover the low `key_bits` bits.
 [[nodiscard]] constexpr int radix_pass_count(int key_bits) { return (key_bits + 7) / 8; }
 
@@ -62,35 +47,38 @@ inline constexpr std::size_t kRadixSortCutoff = 64;
 }
 
 /// A sort record: 64-bit key plus a 64-bit payload that rides along
-/// (the GS-TG group sort carries the tile bitmask, the global sort the
-/// duplicated splat id).
+/// (the splat id; the GS-TG group sort adds the entry's position, which
+/// carries its tile bitmask).
 struct KeyValue {
   std::uint64_t key = 0;
   std::uint64_t value = 0;
 };
 
-/// Stable LSD radix sort of keys[0..n) ascending, 8-bit digits, processing
-/// only the low `key_bits` bits (all higher bits must be zero). `tmp` is
-/// grown as needed and reused across calls; the result is left in `keys`.
-GSTG_HOT_NOALLOC
-void radix_sort_keys(std::vector<std::uint64_t>& keys, std::vector<std::uint64_t>& tmp,
-                     std::size_t n, int key_bits);
-
-/// Stable LSD radix sort of items[0..n) by key ascending, permuting the
-/// payloads alongside. Same contract as radix_sort_keys.
+/// Stable LSD radix sort of items[0..n) by key ascending, 8-bit digits,
+/// processing only the low `key_bits` bits (all higher bits must be zero)
+/// and permuting the payloads alongside. `tmp` is grown as needed and
+/// reused across calls; the result is left in `items`.
 GSTG_HOT_NOALLOC
 void radix_sort_pairs(std::vector<KeyValue>& items, std::vector<KeyValue>& tmp, std::size_t n,
                       int key_bits);
 
-/// Reusable buffers for one worker's sorting: packed keys (cell-list path)
-/// and key/payload records (group path), plus the comparison-volume
+/// Reusable buffers for one worker's sorting: the key/payload records, the
+/// group path's snapshot of its tile bitmasks, and the comparison-volume
 /// accumulator merged deterministically after the parallel region.
 struct SortWorkerScratch {
-  std::vector<std::uint64_t> keys, keys_tmp;
+  std::vector<std::uint64_t> masks;
   std::vector<KeyValue> items, items_tmp;
   double volume = 0.0;
   std::size_t pairs = 0;
 };
+
+/// Sorts ws.items[0..n) by key ascending (keys unique, n >= 2; shorter
+/// lists need no sort and add no volume): radix sort over the low
+/// `key_bits` bits when n >= kRadixSortCutoff, comparison sort below. Adds
+/// the list's sort_comparison_volume to ws.volume: n * passes for radix,
+/// n * log2 n for comparison. The one place that chooses a sort.
+GSTG_HOT_NOALLOC
+void sort_items(SortWorkerScratch& ws, std::size_t n, int key_bits);
 
 /// Per-frame sorting scratch: one slot per parallel worker, sized from
 /// planned_worker_count so worker indices can never alias. Reused across

@@ -29,8 +29,7 @@ struct RenderConfig {
   /// When true, each splat's extent rho is 2 ln(255 sigma) instead of the
   /// 3-sigma rule — the opacity-aware bound FlashGS introduced.
   bool opacity_aware_rho = false;
-  /// Per-tile sort algorithm (kAuto = radix for long lists, comparison for
-  /// short ones; every choice produces the identical ordering).
+  /// Read by nothing; it stays only so that perfbench/ builds unchanged.
   SortAlgo sort_algo = SortAlgo::kAuto;
   /// SIMD kernel policy for the preprocess/rasterize hot paths: the kernel
   /// backend (kAuto = widest verified; an unavailable explicit backend is a
@@ -92,9 +91,9 @@ struct RenderCounters {
   std::size_t splats_multi_tile = 0;   ///< visible splats hitting >= 2 tiles
   std::size_t sort_pairs = 0;          ///< total entries across per-tile/group sort lists
   /// Sorting-work proxy: comparison sorts account a list of n entries as
-  /// n * log2(n); radix paths (per-list or global) account n * passes with
-  /// 8-bit digits. Well-defined for either algorithm so the paper's
-  /// workload-reduction ratios compare like against like.
+  /// n * log2(n); radix sorts account n * passes with 8-bit digits.
+  /// Well-defined for either algorithm so the paper's workload-reduction
+  /// ratios compare like against like.
   double sort_comparison_volume = 0;
   /// Alpha evaluations actually performed: (pixel, splat) pairs whose quad
   /// passed the in-range guard 0 <= q <= 2 ln(255 sigma). Out-of-footprint

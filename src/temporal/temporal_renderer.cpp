@@ -181,7 +181,7 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
       }
       if (!order_ok || stayers == 0) {
         sort_group_entries(bins.splat_ids.data() + begin, masks.data() + begin, n, splats,
-                           config().sort_algo, key_bits, index_bits, ws.sort);
+                           key_bits, index_bits, ws.sort);
         ++ws.stats.groups_resorted;
         ws.stats.pairs_sorted += n;
         continue;
@@ -206,10 +206,10 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
         // joiner sort goes through the throwaway scratch — kVerify's
         // sort_pairs/volume match a plain per-frame run exactly.
         sort_group_entries(ws.joiner_ids.data(), ws.joiner_masks.data(), joiners, splats,
-                           config().sort_algo, key_bits, index_bits, ws.aux);
+                           key_bits, index_bits, ws.aux);
       } else {
         sort_group_entries(ws.joiner_ids.data(), ws.joiner_masks.data(), joiners, splats,
-                           config().sort_algo, key_bits, index_bits, ws.sort);
+                           key_bits, index_bits, ws.sort);
         ws.sort.pairs += stayers;  // sort_pairs counts all entries, sorted or reused
       }
 
@@ -256,7 +256,7 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
 
       if (verify) {
         sort_group_entries(ws.verify_ids.data(), ws.verify_masks.data(), n, splats,
-                           config().sort_algo, key_bits, index_bits, ws.sort);
+                           key_bits, index_bits, ws.sort);
         const bool identical = std::equal(ws.verify_ids.begin(), ws.verify_ids.begin() + n,
                                           bins.splat_ids.begin() + begin) &&
                                std::equal(ws.verify_masks.begin(), ws.verify_masks.begin() + n,

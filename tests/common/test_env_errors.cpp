@@ -1,7 +1,8 @@
 // Malformed-environment corpus: numeric env overrides must validate the
 // entire value. GSTG_THREADS=abc used to silently fall back to hardware
 // concurrency and GSTG_THREADS=8garbage used to be accepted as 8; both are
-// now errors that name the variable. The four mode knobs resolve through
+// now errors that name the variable, and so is a GSTG_SCALE other than
+// bench/small/full. The four mode knobs resolve through
 // one strict parser (resolve_from_env) that throws ConfigError likewise; a
 // SIMD backend the build or CPU lacks fails config validation.
 #include <gtest/gtest.h>
@@ -74,6 +75,38 @@ TEST(EnvErrors, EnvPositiveSizeFallsBackOnlyWhenUnset) {
   EXPECT_EQ(env_positive_size("GSTG_TEST_KNOB", 42), 7u);
   guard.set("7junk");
   expect_env_error("GSTG_TEST_KNOB", "7junk", 42);
+}
+
+TEST(EnvErrors, ScaleNamesAccepted) {
+  EnvGuard guard("GSTG_SCALE");
+  guard.unset();
+  EXPECT_EQ(run_scale_from_env().gaussian_divisor, RunScale{}.gaussian_divisor);
+  guard.set("bench");
+  EXPECT_EQ(run_scale_from_env().resolution_divisor, 4);
+  EXPECT_EQ(run_scale_from_env().gaussian_divisor, 16);
+  guard.set("small");
+  EXPECT_EQ(run_scale_from_env().resolution_divisor, 8);
+  EXPECT_EQ(run_scale_from_env().gaussian_divisor, 64);
+  guard.set("full");
+  EXPECT_TRUE(run_scale_from_env().is_full());
+}
+
+TEST(EnvErrors, ScaleCorpusRejected) {
+  // A typo used to fall back to the bench scale: GSTG_SCALE=smal silently
+  // ran 16x the Gaussians of the smoke scale.
+  EnvGuard guard("GSTG_SCALE");
+  for (const char* bad : {"", "smal", "SMALL", "Full", "bench ", " small", "paper"}) {
+    guard.set(bad);
+    try {
+      (void)run_scale_from_env();
+      ADD_FAILURE() << "GSTG_SCALE='" << bad << "' should be rejected";
+    } catch (const ConfigError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("GSTG_SCALE"), std::string::npos) << message;
+      EXPECT_NE(message.find(std::string("'") + bad + "'"), std::string::npos) << message;
+      EXPECT_NE(message.find("expected one of bench/small/full"), std::string::npos) << message;
+    }
+  }
 }
 
 /// One mode-knob value: `expected` is the mode name the matching config

@@ -208,25 +208,5 @@ TEST(RenderBatch, EmptyCameraListIsFine) {
   EXPECT_EQ(result.total.sort_pairs, 0u);
 }
 
-TEST(GroupSort, RadixMatchesComparisonOnScene) {
-  // Whole-pipeline check: forcing either group-sort algorithm produces the
-  // same image and the same sorted group lists, including depth ties.
-  const GaussianCloud cloud = make_random_cloud(900, 17);
-  const Camera camera = make_camera();
-
-  GsTgConfig comparison;
-  comparison.threads = 1;
-  comparison.sort_algo = SortAlgo::kComparison;
-  GsTgConfig radix = comparison;
-  radix.sort_algo = SortAlgo::kRadix;
-
-  FrameContext a, b;
-  Renderer(comparison).render(cloud, camera, a);
-  Renderer(radix).render(cloud, camera, b);
-  EXPECT_EQ(a.frame.group_bins.splat_ids, b.frame.group_bins.splat_ids);
-  EXPECT_EQ(a.frame.masks, b.frame.masks);
-  EXPECT_TRUE(images_identical(a.image, b.image));
-}
-
 }  // namespace
 }  // namespace gstg

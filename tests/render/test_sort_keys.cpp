@@ -1,13 +1,16 @@
-// Packed-key radix sorting: key monotonicity, stability, and the
-// radix-vs-comparison equivalence the hot paths rely on (render/sort_keys.h).
+// Packed-key sorting (render/sort_keys.h): key monotonicity, radix
+// stability, and both sides of the radix cutoff against an order written
+// out here, through the per-tile and the per-group sort.
 #include "render/sort_keys.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <vector>
 
+#include "core/grouping.h"
 #include "render/binning.h"
 #include "render/sort.h"
 #include "render/types.h"
@@ -26,22 +29,26 @@ TEST(SortKeys, PackedKeyOrdersByDepthThenIndex) {
   EXPECT_LT(pack_depth_index_key(2.5f, 3), pack_depth_index_key(2.5f, 4));
   // Depth dominates the index.
   EXPECT_LT(pack_depth_index_key(1.0f, 0xffffffffu), pack_depth_index_key(1.0000001f, 0));
-  // Round trip of the index half.
-  EXPECT_EQ(key_index(pack_depth_index_key(3.25f, 12345u)), 12345u);
+  // The index fills the low 32 bits at the default width.
+  EXPECT_EQ(pack_depth_index_key(3.25f, 12345u) & 0xffffffffu, 12345u);
 }
 
 TEST(SortKeys, RadixSortKeysMatchesStdSort) {
   std::mt19937 gen(7);
   std::uniform_int_distribution<std::uint64_t> dist;
   for (const std::size_t n : {0ul, 1ul, 2ul, 63ul, 64ul, 1000ul}) {
-    std::vector<std::uint64_t> keys(n);
-    for (auto& k : keys) k = dist(gen);
-    std::vector<std::uint64_t> expected = keys;
-    std::sort(expected.begin(), expected.end());
+    std::vector<KeyValue> items(n);
+    for (std::size_t i = 0; i < n; ++i) items[i] = {dist(gen), i};
+    std::vector<KeyValue> expected = items;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
 
-    std::vector<std::uint64_t> tmp;
-    radix_sort_keys(keys, tmp, n, 64);
-    EXPECT_EQ(keys, expected) << "n=" << n;
+    std::vector<KeyValue> tmp;
+    radix_sort_pairs(items, tmp, n, 64);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(items[i].key, expected[i].key) << "n=" << n << " at " << i;
+      ASSERT_EQ(items[i].value, expected[i].value) << "n=" << n << " at " << i;
+    }
   }
 }
 
@@ -69,14 +76,18 @@ TEST(SortKeys, RadixSortRespectsKeyBitsParameter) {
   // Only the low 16 bits are populated; 2 passes must fully sort.
   std::mt19937 gen(13);
   std::uniform_int_distribution<std::uint64_t> dist(0, 0xffff);
-  std::vector<std::uint64_t> keys(777);
-  for (auto& k : keys) k = dist(gen);
-  std::vector<std::uint64_t> expected = keys;
-  std::sort(expected.begin(), expected.end());
+  std::vector<KeyValue> items(777);
+  for (std::size_t i = 0; i < items.size(); ++i) items[i] = {dist(gen), i};
+  std::vector<KeyValue> expected = items;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
 
-  std::vector<std::uint64_t> tmp;
-  radix_sort_keys(keys, tmp, keys.size(), 16);
-  EXPECT_EQ(keys, expected);
+  std::vector<KeyValue> tmp;
+  radix_sort_pairs(items, tmp, items.size(), 16);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    ASSERT_EQ(items[i].key, expected[i].key) << "at " << i;
+    ASSERT_EQ(items[i].value, expected[i].value) << "at " << i;
+  }
   EXPECT_EQ(radix_pass_count(16), 2);
 }
 
@@ -108,34 +119,61 @@ std::vector<ProjectedSplat> tied_depth_splats(std::size_t n, unsigned seed) {
   return splats;
 }
 
-TEST(SortKeys, CellListRadixMatchesComparisonOnDepthTies) {
-  for (const std::size_t n : {2ul, 17ul, 63ul, 64ul, 257ul, 1024ul}) {
-    const std::vector<ProjectedSplat> splats =
-        tied_depth_splats(n, 23 + static_cast<unsigned>(n));
-
-    BinnedSplats comparison = one_cell_bins(n);
-    BinnedSplats radix = one_cell_bins(n);
-    RenderCounters c1, c2;
-    sort_cell_lists(comparison, splats, 1, c1, SortAlgo::kComparison);
-    sort_cell_lists(radix, splats, 1, c2, SortAlgo::kRadix);
-
-    EXPECT_EQ(comparison.splat_ids, radix.splat_ids) << "n=" << n;
-    EXPECT_EQ(c1.sort_pairs, c2.sort_pairs);
-    // Both orderings must actually be sorted by (depth, index).
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      const ProjectedSplat& a = splats[radix.splat_ids[i]];
-      const ProjectedSplat& b = splats[radix.splat_ids[i + 1]];
-      ASSERT_TRUE(a.depth < b.depth || (a.depth == b.depth && a.index < b.index))
-          << "unsorted at " << i;
-    }
-  }
+// The (depth, index) order written out: what both sort branches must give.
+std::vector<std::uint32_t> reference_order(std::vector<std::uint32_t> ids,
+                                           const std::vector<ProjectedSplat>& splats) {
+  std::stable_sort(ids.begin(), ids.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const ProjectedSplat& sa = splats[a];
+    const ProjectedSplat& sb = splats[b];
+    return sa.depth < sb.depth || (sa.depth == sb.depth && sa.index < sb.index);
+  });
+  return ids;
 }
 
-TEST(SortKeys, AutoSelectsRadixAboveCutoff) {
-  EXPECT_FALSE(use_radix_sort(SortAlgo::kAuto, kRadixSortCutoff - 1));
-  EXPECT_TRUE(use_radix_sort(SortAlgo::kAuto, kRadixSortCutoff));
-  EXPECT_TRUE(use_radix_sort(SortAlgo::kRadix, 2));
-  EXPECT_FALSE(use_radix_sort(SortAlgo::kComparison, 1 << 20));
+TEST(SortKeys, BothBranchesMatchReferenceOrder) {
+  // Lengths on both sides of the radix cutoff; depth ties everywhere, so
+  // the index tiebreak decides most places.
+  for (const std::size_t n :
+       {kRadixSortCutoff - 1, kRadixSortCutoff, kRadixSortCutoff + 1, std::size_t{300}}) {
+    const std::vector<ProjectedSplat> splats =
+        tied_depth_splats(n, 23 + static_cast<unsigned>(n));
+    std::vector<std::uint32_t> input(n);
+    for (std::size_t i = 0; i < n; ++i) input[i] = static_cast<std::uint32_t>(i);
+    std::shuffle(input.begin(), input.end(), std::mt19937(static_cast<unsigned>(n)));
+    const std::vector<std::uint32_t> expected = reference_order(input, splats);
+
+    std::uint32_t max_index = 0;
+    for (const ProjectedSplat& s : splats) max_index = std::max(max_index, s.index);
+    const double volume =
+        n >= kRadixSortCutoff
+            ? static_cast<double>(n) * radix_pass_count(depth_index_key_bits(max_index))
+            : static_cast<double>(n) * std::log2(static_cast<double>(n));
+
+    BinnedSplats cells = one_cell_bins(n);
+    cells.splat_ids = input;
+    RenderCounters cell_counters;
+    sort_cell_lists(cells, splats, 1, cell_counters);
+    EXPECT_EQ(cells.splat_ids, expected) << "sort_cell_lists, n=" << n;
+    EXPECT_EQ(cell_counters.sort_pairs, n);
+    EXPECT_DOUBLE_EQ(cell_counters.sort_comparison_volume, volume) << "n=" << n;
+
+    // The group sort must carry each entry's mask along with its id.
+    BinnedSplats groups = one_cell_bins(n);
+    groups.splat_ids = input;
+    const auto mask_of = [](std::uint32_t id) {
+      return TileMask{0x9e3779b97f4a7c15ull} * (id + 1);
+    };
+    std::vector<TileMask> masks(n);
+    for (std::size_t i = 0; i < n; ++i) masks[i] = mask_of(input[i]);
+    RenderCounters group_counters;
+    sort_groups(groups, masks, splats, 1, group_counters);
+    EXPECT_EQ(groups.splat_ids, expected) << "sort_groups, n=" << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(masks[i], mask_of(groups.splat_ids[i])) << "n=" << n << " at " << i;
+    }
+    EXPECT_EQ(group_counters.sort_pairs, n);
+    EXPECT_DOUBLE_EQ(group_counters.sort_comparison_volume, volume) << "n=" << n;
+  }
 }
 
 TEST(SortKeys, SortScratchReusePreservesResults) {
@@ -146,7 +184,7 @@ TEST(SortKeys, SortScratchReusePreservesResults) {
 
   BinnedSplats reference = one_cell_bins(n);
   RenderCounters cr;
-  sort_cell_lists(reference, splats, 1, cr, SortAlgo::kAuto);
+  sort_cell_lists(reference, splats, 1, cr);
 
   for (int round = 0; round < 3; ++round) {
     BinnedSplats bins = one_cell_bins(n);

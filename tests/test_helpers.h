@@ -68,7 +68,7 @@ inline RenderResult reference_baseline(const GaussianCloud& cloud, const Camera&
   BinnedSplats bins =
       bin_splats(splats, CellGrid::over_image(camera.width(), camera.height(), config.tile_size),
                  config.boundary, config.threads, result.counters);
-  sort_cell_lists(bins, splats, config.threads, result.counters, config.sort_algo);
+  sort_cell_lists(bins, splats, config.threads, result.counters);
   rasterize_all(bins, splats, result.image, config.threads, result.counters, config.simd);
   return result;
 }
