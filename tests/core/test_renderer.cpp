@@ -1,18 +1,20 @@
 // Persistent renderer (core/renderer.h): FrameContext reuse is bit-identical
 // and allocation-free in the steady state, the raster's per-tile stats sum to
 // the frame counters, render_batch matches N independent
-// render_gstg calls exactly, and the group radix sort is interchangeable
-// with the comparison sort.
+// render_gstg calls exactly, and every group list of a rendered scene is in
+// (depth, index) order with its masks, on both sides of the radix cutoff.
 #include "core/renderer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <string>
 
+#include "core/grouping.h"
 #include "core/pipeline.h"
 #include "scene/scene.h"
 #include "test_helpers.h"
@@ -206,6 +208,51 @@ TEST(RenderBatch, EmptyCameraListIsFine) {
   const BatchRenderResult result = render_batch(cloud, {}, config);
   EXPECT_TRUE(result.images.empty());
   EXPECT_EQ(result.total.sort_pairs, 0u);
+}
+
+TEST(GroupSort, RadixMatchesComparisonOnScene) {
+  // Whole-pipeline check: the scene has group lists on both sides of the
+  // radix cutoff, and every one is in the (depth, index) order written out
+  // here, with each entry's mask still the mask of its own splat.
+  const GaussianCloud cloud = make_random_cloud(900, 17);
+  GsTgConfig config;
+  config.threads = 1;
+  FrameContext ctx;
+  Renderer(config).render(cloud, make_camera(), ctx);
+
+  const BinnedSplats& bins = ctx.frame.group_bins;
+  std::size_t radix_lists = 0;
+  std::size_t comparison_lists = 0;
+  for (std::size_t g = 0; g + 1 < bins.offsets.size(); ++g) {
+    const auto first = bins.splat_ids.begin() + bins.offsets[g];
+    const auto last = bins.splat_ids.begin() + bins.offsets[g + 1];
+    const std::size_t n = static_cast<std::size_t>(last - first);
+    if (n >= kRadixSortCutoff) {
+      ++radix_lists;
+    } else if (n >= 2) {
+      ++comparison_lists;
+    }
+    // Splat indices are unique, so (depth, index) is a total order and
+    // std::sort gives it exactly (std::stable_sort would take its buffer
+    // from the nothrow operator new, which this binary does not replace).
+    std::vector<std::uint32_t> expected(first, last);
+    std::sort(expected.begin(), expected.end(), [&](std::uint32_t a, std::uint32_t b) {
+      const ProjectedSplat& sa = ctx.splats[a];
+      const ProjectedSplat& sb = ctx.splats[b];
+      return sa.depth < sb.depth || (sa.depth == sb.depth && sa.index < sb.index);
+    });
+    EXPECT_TRUE(std::equal(first, last, expected.begin())) << "group " << g;
+  }
+  EXPECT_GT(radix_lists, 0u);
+  EXPECT_GT(comparison_lists, 0u);
+
+  // A mask depends only on its (splat, group); regenerating them over the
+  // sorted lists must reproduce the masks the sort carried along.
+  RenderCounters counters;
+  std::vector<TileMask> masks;
+  generate_bitmasks_into(ctx.splats, bins, ctx.frame.tile_grid, ctx.frame.config, counters,
+                         masks);
+  EXPECT_EQ(masks, ctx.frame.masks);
 }
 
 }  // namespace

@@ -130,49 +130,73 @@ std::vector<std::uint32_t> reference_order(std::vector<std::uint32_t> ids,
   return ids;
 }
 
-TEST(SortKeys, BothBranchesMatchReferenceOrder) {
-  // Lengths on both sides of the radix cutoff; depth ties everywhere, so
-  // the index tiebreak decides most places.
-  for (const std::size_t n :
-       {kRadixSortCutoff - 1, kRadixSortCutoff, kRadixSortCutoff + 1, std::size_t{300}}) {
-    const std::vector<ProjectedSplat> splats =
-        tied_depth_splats(n, 23 + static_cast<unsigned>(n));
-    std::vector<std::uint32_t> input(n);
-    for (std::size_t i = 0; i < n; ++i) input[i] = static_cast<std::uint32_t>(i);
-    std::shuffle(input.begin(), input.end(), std::mt19937(static_cast<unsigned>(n)));
-    const std::vector<std::uint32_t> expected = reference_order(input, splats);
+// Lengths on both sides of the radix cutoff.
+constexpr std::size_t kLengths[] = {2, 17, kRadixSortCutoff - 1, kRadixSortCutoff,
+                                    kRadixSortCutoff + 1, 300};
 
+TileMask mask_of(std::uint32_t id) { return TileMask{0x9e3779b97f4a7c15ull} * (id + 1); }
+
+// One list of n tied-depth entries in shuffled input order, sorted by
+// sort_cell_lists and by sort_groups (with a mask per entry).
+struct SortedBothWays {
+  std::vector<ProjectedSplat> splats;
+  std::vector<std::uint32_t> input;
+  BinnedSplats cells;
+  RenderCounters cell_counters;
+  BinnedSplats groups;
+  std::vector<TileMask> masks;
+  RenderCounters group_counters;
+};
+
+SortedBothWays sort_both_ways(std::size_t n) {
+  SortedBothWays r;
+  r.splats = tied_depth_splats(n, 23 + static_cast<unsigned>(n));
+  r.input.resize(n);
+  for (std::size_t i = 0; i < n; ++i) r.input[i] = static_cast<std::uint32_t>(i);
+  std::shuffle(r.input.begin(), r.input.end(), std::mt19937(static_cast<unsigned>(n)));
+
+  r.cells = one_cell_bins(n);
+  r.cells.splat_ids = r.input;
+  sort_cell_lists(r.cells, r.splats, 1, r.cell_counters);
+
+  r.groups = one_cell_bins(n);
+  r.groups.splat_ids = r.input;
+  r.masks.resize(n);
+  for (std::size_t i = 0; i < n; ++i) r.masks[i] = mask_of(r.input[i]);
+  sort_groups(r.groups, r.masks, r.splats, 1, r.group_counters);
+  return r;
+}
+
+TEST(SortKeys, CellListRadixMatchesComparisonOnDepthTies) {
+  // Depth ties everywhere, so the index tiebreak decides most places; both
+  // sort branches must give the order written out by reference_order.
+  for (const std::size_t n : kLengths) {
+    const SortedBothWays r = sort_both_ways(n);
+    const std::vector<std::uint32_t> expected = reference_order(r.input, r.splats);
+    EXPECT_EQ(r.cells.splat_ids, expected) << "sort_cell_lists, n=" << n;
+    EXPECT_EQ(r.groups.splat_ids, expected) << "sort_groups, n=" << n;
+    // The group sort must carry each entry's mask along with its id.
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(r.masks[i], mask_of(r.groups.splat_ids[i])) << "n=" << n << " at " << i;
+    }
+  }
+}
+
+TEST(SortKeys, AutoSelectsRadixAboveCutoff) {
+  // The branch shows in the accounted volume: n*log2(n) comparisons below
+  // the cutoff, n per radix pass from it up.
+  for (const std::size_t n : kLengths) {
+    const SortedBothWays r = sort_both_ways(n);
     std::uint32_t max_index = 0;
-    for (const ProjectedSplat& s : splats) max_index = std::max(max_index, s.index);
+    for (const ProjectedSplat& s : r.splats) max_index = std::max(max_index, s.index);
     const double volume =
         n >= kRadixSortCutoff
             ? static_cast<double>(n) * radix_pass_count(depth_index_key_bits(max_index))
             : static_cast<double>(n) * std::log2(static_cast<double>(n));
-
-    BinnedSplats cells = one_cell_bins(n);
-    cells.splat_ids = input;
-    RenderCounters cell_counters;
-    sort_cell_lists(cells, splats, 1, cell_counters);
-    EXPECT_EQ(cells.splat_ids, expected) << "sort_cell_lists, n=" << n;
-    EXPECT_EQ(cell_counters.sort_pairs, n);
-    EXPECT_DOUBLE_EQ(cell_counters.sort_comparison_volume, volume) << "n=" << n;
-
-    // The group sort must carry each entry's mask along with its id.
-    BinnedSplats groups = one_cell_bins(n);
-    groups.splat_ids = input;
-    const auto mask_of = [](std::uint32_t id) {
-      return TileMask{0x9e3779b97f4a7c15ull} * (id + 1);
-    };
-    std::vector<TileMask> masks(n);
-    for (std::size_t i = 0; i < n; ++i) masks[i] = mask_of(input[i]);
-    RenderCounters group_counters;
-    sort_groups(groups, masks, splats, 1, group_counters);
-    EXPECT_EQ(groups.splat_ids, expected) << "sort_groups, n=" << n;
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(masks[i], mask_of(groups.splat_ids[i])) << "n=" << n << " at " << i;
-    }
-    EXPECT_EQ(group_counters.sort_pairs, n);
-    EXPECT_DOUBLE_EQ(group_counters.sort_comparison_volume, volume) << "n=" << n;
+    EXPECT_EQ(r.cell_counters.sort_pairs, n);
+    EXPECT_DOUBLE_EQ(r.cell_counters.sort_comparison_volume, volume) << "n=" << n;
+    EXPECT_EQ(r.group_counters.sort_pairs, n);
+    EXPECT_DOUBLE_EQ(r.group_counters.sort_comparison_volume, volume) << "n=" << n;
   }
 }
 
