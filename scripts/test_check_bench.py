@@ -448,6 +448,197 @@ class CheckBenchTest(unittest.TestCase):
         self.assert_fails(self.section_gate("hardware", fresh, hardware_doc()),
                           "hardware.orbit: scene missing")
 
+    # ---- one case per gate the cases above leave untripped ------------
+
+    def test_missing_simd_section_fails(self):
+        fresh = software_doc()
+        del fresh["scenes"][0]["simd"]
+        self.assert_fails(self.run_gate(fresh, software_doc()),
+                          "orbit.simd: simd section missing or empty")
+
+    def test_temporal_identical_to_off_fails(self):
+        fresh = temporal_doc()
+        fresh["scenes"][0]["paths"][0]["identical_to_off"] = False
+        self.assert_fails(self.section_gate("temporal", fresh, temporal_doc()),
+                          "temporal.orbit.orbit_slow: temporal output diverged")
+
+    def test_temporal_missing_path_fails(self):
+        fresh = temporal_doc()
+        fresh["scenes"][0]["paths"] = []
+        self.assert_fails(self.section_gate("temporal", fresh, temporal_doc()),
+                          "temporal.orbit.orbit_slow: path missing from fresh output")
+
+    def test_temporal_missing_scene_fails(self):
+        fresh = temporal_doc()
+        fresh["scenes"] = []
+        self.assert_fails(self.section_gate("temporal", fresh, temporal_doc()),
+                          "temporal.orbit: scene missing from fresh output")
+
+    def test_dataset_fixtures_ok_gate_fails(self):
+        fresh = dataset_doc()
+        fresh["fixtures_ok"] = False
+        self.assert_fails(self.section_gate("dataset", fresh, dataset_doc()),
+                          "dataset: a loader fixture was mis-sniffed")
+
+    def test_dataset_verify_ok_gate_fails(self):
+        fresh = dataset_doc()
+        fresh["verify_ok"] = False
+        self.assert_fails(self.section_gate("dataset", fresh, dataset_doc()),
+                          "dataset: the streamed decode render is not bit-identical")
+
+    def test_dataset_scene_verify_ok_fails(self):
+        fresh = dataset_doc()
+        fresh["scenes"][0]["verify_ok"] = False
+        self.assert_fails(self.section_gate("dataset", fresh, dataset_doc()),
+                          "dataset.orbit: kVerify failed or the streamed image diverged")
+
+    def test_dataset_missing_fixture_fails(self):
+        fresh = dataset_doc()
+        fresh["fixtures"] = []
+        self.assert_fails(self.section_gate("dataset", fresh, dataset_doc()),
+                          "dataset.fixture.tiny_ply: fixture missing from fresh output")
+
+    def test_dataset_fixture_count_drift_fails(self):
+        fresh = dataset_doc()
+        fresh["fixtures"][0]["cameras"] = 3
+        self.assert_fails(self.section_gate("dataset", fresh, dataset_doc()),
+                          "dataset.fixture.tiny_ply.cameras")
+
+    def test_dataset_times_only_under_check_times(self):
+        fresh = dataset_doc()
+        fresh["fixtures"][0]["load_ms"] = 10.0
+        fresh["scenes"][0]["load_ms"] = 30.0
+        self.assertEqual(
+            self.section_gate("dataset", fresh, dataset_doc()).returncode, 0)
+        self.assert_fails(
+            self.section_gate("dataset", fresh, dataset_doc(), "--check-times"),
+            "dataset.fixture.tiny_ply.load_ms", "dataset.orbit.load_ms")
+
+    def test_quality_verify_ok_gate_fails(self):
+        fresh = quality_doc()
+        fresh["verify_ok"] = False
+        self.assert_fails(self.section_gate("quality", fresh, quality_doc()),
+                          "quality: the kVerify pipeline diverged from pure kSortless")
+
+    def test_quality_scene_verify_ok_fails(self):
+        fresh = quality_doc()
+        fresh["scenes"][0]["verify_ok"] = False
+        self.assert_fails(self.section_gate("quality", fresh, quality_doc()),
+                          "quality.orbit: kVerify output or counters diverged")
+
+    def test_quality_scene_quality_ok_fails(self):
+        fresh = quality_doc()
+        fresh["scenes"][0]["quality_ok"] = False
+        self.assert_fails(self.section_gate("quality", fresh, quality_doc()),
+                          "quality.orbit: sortless PSNR/SSIM fell below this scene's")
+
+    def test_quality_times_only_under_check_times(self):
+        fresh = quality_doc()
+        fresh["scenes"][0]["sort_ms_removed"] = 25.0
+        self.assertEqual(
+            self.section_gate("quality", fresh, quality_doc()).returncode, 0)
+        self.assert_fails(
+            self.section_gate("quality", fresh, quality_doc(), "--check-times"),
+            "quality.orbit.sort_ms_removed")
+
+    def test_telemetry_dropped_ok_gate_fails(self):
+        fresh = telemetry_doc()
+        fresh["dropped_ok"] = False
+        fresh["events_dropped"] = 17
+        self.assert_fails(self.section_gate("telemetry", fresh, telemetry_doc()),
+                          "telemetry: trace rings dropped 17 events")
+
+    def test_telemetry_deterministic_gate_fails(self):
+        fresh = telemetry_doc()
+        fresh["deterministic"] = False
+        self.assert_fails(self.section_gate("telemetry", fresh, telemetry_doc()),
+                          "telemetry: image or counters diverged with tracing enabled")
+
+    def test_telemetry_stage_spans_ok_gate_fails(self):
+        fresh = telemetry_doc()
+        fresh["stage_spans_ok"] = False
+        self.assert_fails(self.section_gate("telemetry", fresh, telemetry_doc()),
+                          "telemetry: a pipeline stage emitted no spans")
+
+    def test_telemetry_missing_stage_fails(self):
+        fresh = telemetry_doc()
+        del fresh["stage_spans"]["sort"]
+        self.assert_fails(self.section_gate("telemetry", fresh, telemetry_doc()),
+                          "telemetry.stage_spans: stage 'sort' missing")
+
+    def test_service_identical_to_sequential_fails(self):
+        fresh = service_doc()
+        fresh["scenes"][0]["identical_to_sequential"] = False
+        self.assert_fails(self.section_gate("service", fresh, service_doc()),
+                          "service.orbit: concurrent service output diverged")
+
+    def test_service_verify_ok_fails(self):
+        fresh = service_doc()
+        fresh["scenes"][0]["verify_ok"] = False
+        self.assert_fails(self.section_gate("service", fresh, service_doc()),
+                          "service.orbit: the verify gate found a response")
+
+    def test_service_scaling_ok_fails_when_gate_active(self):
+        fresh = service_doc()
+        fresh["scenes"][0]["scaling_ok"] = False
+        self.assert_fails(self.section_gate("service", fresh, service_doc()),
+                          "service.orbit: 1->4 client throughput scaling fell below")
+
+    def test_service_scaling_ok_ignored_when_gate_inactive(self):
+        fresh = service_doc()
+        fresh["scenes"][0]["scaling_gate_active"] = False
+        fresh["scenes"][0]["scaling_ok"] = False
+        result = self.section_gate("service", fresh, service_doc())
+        self.assertEqual(result.returncode, 0, result.stdout)
+
+    def test_service_times_gated_with_check_times(self):
+        fresh = service_doc()
+        fresh["scenes"][0]["wall_ms_4client"] = 4000.0
+        self.assert_fails(
+            self.section_gate("service", fresh, service_doc(), "--check-times"),
+            "service.orbit.wall_ms_4client")
+
+    def test_hardware_scene_not_in_baseline_fails(self):
+        fresh = hardware_doc()
+        extra = copy.deepcopy(fresh["scenes"][0])
+        extra["scene"] = "flyby"
+        fresh["scenes"].append(extra)
+        self.assert_fails(self.section_gate("hardware", fresh, hardware_doc()),
+                          "hardware.flyby: scene not in baseline")
+
+    def test_hardware_header_change_fails(self):
+        fresh = hardware_doc()
+        fresh["bench"] = "hardware_sim_v2"
+        self.assert_fails(self.section_gate("hardware", fresh, hardware_doc()),
+                          "hardware.bench: hardware_sim_v2 vs baseline hardware_sim")
+
+    def test_hardware_missing_field_fails(self):
+        fresh = hardware_doc()
+        del fresh["scenes"][0]["gstg"]["energy_j"]
+        self.assert_fails(self.section_gate("hardware", fresh, hardware_doc()),
+                          "hardware.orbit.gstg: missing field 'energy_j'")
+
+    def assert_section_scale_mismatch_fails(self, flag, make_doc):
+        fresh = make_doc()
+        fresh["scale"]["name"] = "full"
+        self.assert_fails(self.section_gate(flag, fresh, make_doc()),
+                          f"{flag}: scale mismatch")
+
+    def test_temporal_scale_mismatch_fails(self):
+        self.assert_section_scale_mismatch_fails("temporal", temporal_doc)
+
+    def test_service_scale_mismatch_fails(self):
+        self.assert_section_scale_mismatch_fails("service", service_doc)
+
+    def test_dataset_scale_mismatch_fails(self):
+        self.assert_section_scale_mismatch_fails("dataset", dataset_doc)
+
+    def test_quality_scale_mismatch_fails(self):
+        self.assert_section_scale_mismatch_fails("quality", quality_doc)
+
+    def test_telemetry_scale_mismatch_fails(self):
+        self.assert_section_scale_mismatch_fails("telemetry", telemetry_doc)
+
 
 if __name__ == "__main__":
     unittest.main(verbosity=2)
