@@ -14,9 +14,11 @@ What is compared, and why:
   * Workload ratios (sort_pair_reduction) — the paper's headline
     reduction must not silently erode.
   * Correctness flags (lossless_max_abs_diff == 0,
-    batch.identical_to_sequential, every simd backend's
-    exact_identical_to_scalar) — these are hard failures regardless of
-    tolerance.
+    batch.identical_to_sequential, residency.identical_to_upfront, every
+    simd backend's exact_identical_to_scalar) — these are hard failures
+    regardless of tolerance. The batch, residency and simd sections are
+    required from the baseline's side: a fresh output that stops emitting
+    one fails instead of skipping its gate.
 
   * Temporal reuse ratios (--temporal/--temporal-baseline pair of
     BENCH_temporal.json files): per scene and camera path, the reuse rate,
@@ -92,104 +94,195 @@ Usage:
                  [--hardware=<fresh BENCH_hardware.json>]
                  [--hardware-baseline=<baseline BENCH_hardware.json>]
 
-Baseline refresh procedure: see bench/README.md ("Perf-regression gate").
+Every gate above is one entry of the BENCHES table below; to gate a new
+field, add it to its bench's entry. Baseline refresh procedure: see
+bench/README.md ("Perf-regression gate").
 """
 
 import json
 import sys
 
-SERVICE_COUNTER_KEYS = [
-    "frames_per_client",
-    "requests_completed",
-    "requests_failed",
-    "cache_misses",
-    "reuse_pairs",
-    "sorted_pairs",
-]
-SERVICE_RATIO_KEYS = ["reuse_pair_ratio"]
-SERVICE_TIME_KEYS = [
-    "sequential_ms",
-    "wall_ms_1client",
-    "wall_ms_4client",
-    "throughput_fps_1client",
-    "throughput_fps_4client",
-    "scaling_1_to_4",
-]
+EVERY_FIELD = "*"  # gated: every field of the baseline object
+TIME_FIELDS = "_ms"  # timed: every *_ms field both objects carry
+MISSING_FIELD = "missing field '{}' in fresh output"
 
-DATASET_FIXTURE_KEYS = ["gaussians", "cameras"]
-DATASET_COUNTER_KEYS = [
-    "gaussians",
-    "sh_degree",
-    "ply_bytes",
-    "resident_bytes",
-    "float32_bytes",
-]
-DATASET_RATIO_KEYS = ["compression_ratio"]
-DATASET_TIME_KEYS = [
-    "load_ms",
-    "encode_ms",
-    "float32_render_ms",
-    "compressed_render_ms",
-    "decode_overhead",
-]
+# A run_all stage object: work counters within tolerance, times under --check-times.
+RUN_ALL_STAGE = {
+    "gated": ["visible_gaussians", "tile_pairs", "sort_pairs", "sort_comparison_volume",
+              "alpha_computations", "blend_ops", "bitmask_tests", "filter_checks"],
+    "timed": TIME_FIELDS,
+}
 
-QUALITY_COUNTER_KEYS = [
-    "visible_gaussians",
-    "sort_pairs_avoided",
-    "sort_comparison_volume_avoided",
-    "sortless_blend_ops",
-    "exact_blend_ops",
-]
-QUALITY_RATIO_KEYS = ["psnr", "ssim"]
-QUALITY_TIME_KEYS = [
-    "sort_ms_removed",
-    "raster_ms_exact",
-    "raster_ms_sortless",
-    "raster_ms_delta",
-]
+# One entry per bench JSON, applied by walk(). The keys of an entry, all optional:
+#   scale     the scale objects must match; a mismatch skips the rest
+#   gated     fields within tolerance of the baseline ("missing": the message
+#             for a gated field the fresh record lacks)
+#   timed     fields within tolerance, under --check-times only
+#   exact     every field but these (and the lists) must equal the baseline's
+#   flags     {field: message}: the fresh value must be true
+#   checks    [(message, predicate(new, old))]: False fails, None does not apply
+#   required  {section path: message}: what the baseline has, the fresh record
+#             must have too (a list non-empty)
+#   sections  {name: entry}: sub-objects; gated where the baseline has them,
+#             flagged and checked where the fresh run has them
+#   lists     {name: entry}: records matched by entry["key"], after "prefix" in
+#             the location; "extra" fails a record only the fresh run has, and
+#             "fresh_side" walks the fresh records without matching
+# Messages are str.format templates over the fresh ({new[...]}) and baseline
+# ({old[...]}) records.
+BENCHES = {
+    "software": {"lists": {"scenes": {
+        "key": "scene",
+        "checks": [("lossless violation (max diff {new[lossless_max_abs_diff]})",
+                    lambda new, old: new.get("lossless_max_abs_diff", 1) == 0)],
+        # A fresh output that stops emitting a correctness section must fail,
+        # not silently skip its gate.
+        "required": {
+            "batch": "batch section missing from fresh output",
+            "residency": "residency section missing from fresh output",
+            "simd.backends": "simd section missing or empty in fresh output",
+        },
+        "sections": {
+            "baseline": RUN_ALL_STAGE,
+            "gstg": RUN_ALL_STAGE,
+            "ratios": {"gated": ["sort_pair_reduction"]},
+            "batch": {"flags": {
+                "identical_to_sequential": "batch output diverged from sequential rendering"}},
+            "residency": {"flags": {"identical_to_upfront":
+                "streamed compressed-residency render diverged from up-front decode"}},
+            "simd": {"lists": {"backends": {"key": "backend", "fresh_side": True, "flags": {
+                "exact_identical_to_scalar":
+                    "exact-mode framebuffer diverged from the scalar backend"}}}},
+        },
+    }}},
+    "temporal": {"scale": True, "lists": {"scenes": {"key": "scene", "lists": {"paths": {
+        "key": "path",
+        "gated": ["groups_total", "groups_reused", "groups_patched", "groups_resorted",
+                  "pairs_reused", "pairs_sorted",
+                  "reuse_rate", "sorts_avoided", "sort_volume_reduction"],
+        "checks": [("sorts-avoided ratio dropped to zero (cross-frame reuse broke)",
+                    lambda new, old: new.get("sorts_avoided", 0) > 0
+                    if old.get("sorts_avoided", 0) > 0 else None)],
+        "flags": {
+            "verify_ok": "kVerify found a reused order that is not bit-identical to sorting",
+            "identical_to_off": "temporal output diverged from the per-frame renderer",
+        },
+    }}}}},
+    # Queue/batch depths and the 1 -> 4 client scaling depend on timing and core
+    # count: recorded, compared only under --check-times.
+    "service": {"scale": True, "lists": {"scenes": {
+        "key": "scene",
+        "gated": ["frames_per_client", "requests_completed", "requests_failed", "cache_misses",
+                  "reuse_pairs", "sorted_pairs", "reuse_pair_ratio"],
+        "timed": ["sequential_ms", "wall_ms_1client", "wall_ms_4client",
+                  "throughput_fps_1client", "throughput_fps_4client", "scaling_1_to_4"],
+        "flags": {
+            "identical_to_sequential":
+                "concurrent service output diverged from per-request sequential render_gstg",
+            "verify_ok":
+                "the verify gate found a response that is not bit-identical to render_gstg",
+            "malformed_rejected": "a malformed request was not rejected with a typed error",
+        },
+        # The 1 -> 4 client scaling bar (> 1.5x) is judged by the fresh run
+        # itself wherever the machine has >= 4 cores to express it.
+        "checks": [("1->4 client throughput scaling fell below 1.5x on a >=4-core machine",
+                    lambda new, old: flag(new.get("scaling_ok"))
+                    if flag(new.get("scaling_gate_active")) else None)],
+    }}},
+    "dataset": {
+        "scale": True,
+        "flags": {
+            "fixtures_ok":
+                "a loader fixture was mis-sniffed or a PLY round-trip did not reproduce the cloud",
+            "compression_ok":
+                "the fp16 resident form is no longer >= 2x smaller than the float32 SoA",
+            "verify_ok":
+                "the streamed decode render is not bit-identical to the up-front decode render",
+        },
+        "lists": {
+            "fixtures": {
+                "key": "name",
+                "prefix": "fixture",
+                "gated": ["gaussians", "cameras"],
+                "timed": ["load_ms"],
+                "checks": [("sniffed source changed ({new[source]} vs {old[source]})",
+                            lambda new, old: new.get("source") == old.get("source"))],
+            },
+            "scenes": {
+                "key": "scene",
+                "gated": ["gaussians", "sh_degree", "ply_bytes", "resident_bytes",
+                          "float32_bytes", "compression_ratio"],
+                "timed": ["load_ms", "encode_ms", "float32_render_ms", "compressed_render_ms",
+                          "decode_overhead"],
+                "flags": {"verify_ok": "kVerify failed or the streamed image diverged on this scene"},
+            },
+        },
+    },
+    "quality": {
+        "scale": True,
+        "flags": {
+            "quality_ok": "a scene's sortless PSNR/SSIM fell below the committed floor",
+            "verify_ok": "the kVerify pipeline diverged from pure kSortless",
+        },
+        "lists": {"scenes": {
+            "key": "scene",
+            "gated": ["visible_gaussians", "sort_pairs_avoided", "sort_comparison_volume_avoided",
+                      "sortless_blend_ops", "exact_blend_ops", "psnr", "ssim"],
+            "timed": ["sort_ms_removed", "raster_ms_exact", "raster_ms_sortless",
+                      "raster_ms_delta"],
+            "checks": [("sortless run sorted {new[sortless_sort_pairs]} pairs (must be 0)",
+                        lambda new, old: new.get("sortless_sort_pairs", 1) == 0)],
+            "flags": {
+                "quality_ok": "sortless PSNR/SSIM fell below this scene's committed floor",
+                "verify_ok": "kVerify output or counters diverged from pure kSortless on this scene",
+            },
+        }},
+    },
+    "telemetry": {
+        "scale": True,
+        # Hard flags: the binary computed them on the fresh machine, so they
+        # are authoritative regardless of tolerance.
+        "flags": {
+            "overhead_ok": "tracing overhead {new[overhead_ratio]} exceeded the committed "
+                           "limit {new[overhead_limit]} on sort+raster",
+            "dropped_ok": "trace rings dropped {new[events_dropped]} events "
+                          "(the run must fit the default capacity)",
+            "deterministic": "image or counters diverged with tracing enabled",
+            "stage_spans_ok": "a pipeline stage emitted no spans into the exported trace",
+        },
+        # Event and span counts are machine-independent at a fixed scale
+        # (single-threaded run): drift means instrumentation was added/removed
+        # or a stage stopped executing.
+        "gated": ["frames", "repeat", "events_recorded", "trace_events_written"],
+        "timed": ["plain_sort_raster_ms", "traced_sort_raster_ms", "overhead_ratio"],
+        "sections": {"stage_spans": {"gated": EVERY_FIELD, "missing": "stage '{}' missing"}},
+    },
+    "hardware": {
+        "exact": ("timestamp_utc", "peak_rss_bytes"),
+        "lists": {"scenes": {"key": "scene", "exact": (), "extra": "scene not in baseline"}},
+    },
+}
 
-TELEMETRY_COUNTER_KEYS = [
-    "frames",
-    "repeat",
-    "events_recorded",
-    "trace_events_written",
-]
-TELEMETRY_TIME_KEYS = [
-    "plain_sort_raster_ms",
-    "traced_sort_raster_ms",
-    "overhead_ratio",
-]
-
-TEMPORAL_COUNTER_KEYS = [
-    "groups_total",
-    "groups_reused",
-    "groups_patched",
-    "groups_resorted",
-    "pairs_reused",
-    "pairs_sorted",
-]
-TEMPORAL_RATIO_KEYS = ["reuse_rate", "sorts_avoided", "sort_volume_reduction"]
-
-COUNTER_KEYS = [
-    "visible_gaussians",
-    "tile_pairs",
-    "sort_pairs",
-    "sort_comparison_volume",
-    "alpha_computations",
-    "blend_ops",
-    "bitmask_tests",
-    "filter_checks",
-]
-RATIO_KEYS = ["sort_pair_reduction"]
-TIME_SUFFIX = "_ms"
-
-HARDWARE_IGNORED_KEYS = ("timestamp_utc", "peak_rss_bytes")
+# The optional bench sections, in the order they are checked: each
+# --<flag>=<fresh> pairs with --<flag>-baseline=<baseline>.
+SECTION_FLAGS = [bench for bench in BENCHES if bench != "software"]
 
 
 def rel_diff(new, old):
     if old == 0:
         return 0.0 if new == 0 else float("inf")
     return abs(new - old) / abs(old)
+
+
+def flag(value):
+    return value in (True, "true")
+
+
+class Fields(dict):
+    """A record for message templates: an absent field reads None."""
+
+    def __missing__(self, key):
+        return None
 
 
 class Gate:
@@ -213,217 +306,13 @@ class Gate:
             self.failures.append(f"{where}: {message}")
 
 
-def compare_section(gate, where, new, old, keys):
+def compare_section(gate, where, new, old, keys, missing=MISSING_FIELD):
     for key in keys:
         if key in old:
             if key not in new:
-                gate.require(where, False, f"missing field '{key}' in fresh output")
+                gate.require(where, False, missing.format(key))
             else:
                 gate.check(where, key, new[key], old[key])
-
-
-def compare_times(gate, where, new, old):
-    for key, value in old.items():
-        if key.endswith(TIME_SUFFIX) and isinstance(value, (int, float)):
-            if isinstance(new.get(key), (int, float)):
-                gate.check(where, key, new[key], value)
-
-
-def compare_temporal(gate, fresh, baseline):
-    """Gates a fresh BENCH_temporal.json against the committed baseline."""
-    if fresh.get("scale", {}) != baseline.get("scale", {}):
-        gate.require(
-            "temporal",
-            False,
-            f"scale mismatch (fresh {fresh.get('scale')} vs baseline {baseline.get('scale')})",
-        )
-        return
-    fresh_scenes = {s["scene"]: s for s in fresh.get("scenes", [])}
-    for scene in baseline.get("scenes", []):
-        name = scene["scene"]
-        if name not in fresh_scenes:
-            gate.require(f"temporal.{name}", False, "scene missing from fresh output")
-            continue
-        fresh_paths = {p["path"]: p for p in fresh_scenes[name].get("paths", [])}
-        for base_path in scene.get("paths", []):
-            kind = base_path["path"]
-            where = f"temporal.{name}.{kind}"
-            if kind not in fresh_paths:
-                gate.require(where, False, "path missing from fresh output")
-                continue
-            new = fresh_paths[kind]
-            compare_section(gate, where, new, base_path, TEMPORAL_COUNTER_KEYS)
-            compare_section(gate, where, new, base_path, TEMPORAL_RATIO_KEYS)
-            if base_path.get("sorts_avoided", 0) > 0:
-                gate.require(
-                    where,
-                    new.get("sorts_avoided", 0) > 0,
-                    "sorts-avoided ratio dropped to zero (cross-frame reuse broke)",
-                )
-            gate.require(
-                where,
-                new.get("verify_ok") in (True, "true"),
-                "kVerify found a reused order that is not bit-identical to sorting",
-            )
-            gate.require(
-                where,
-                new.get("identical_to_off") in (True, "true"),
-                "temporal output diverged from the per-frame renderer",
-            )
-
-
-def compare_dataset(gate, fresh, baseline, check_times):
-    """Gates a fresh BENCH_dataset.json against the committed baseline."""
-    if fresh.get("scale", {}) != baseline.get("scale", {}):
-        gate.require(
-            "dataset",
-            False,
-            f"scale mismatch (fresh {fresh.get('scale')} vs baseline {baseline.get('scale')})",
-        )
-        return
-    gate.require(
-        "dataset",
-        fresh.get("fixtures_ok") in (True, "true"),
-        "a loader fixture was mis-sniffed or a PLY round-trip did not reproduce the cloud",
-    )
-    gate.require(
-        "dataset",
-        fresh.get("compression_ok") in (True, "true"),
-        "the fp16 resident form is no longer >= 2x smaller than the float32 SoA",
-    )
-    gate.require(
-        "dataset",
-        fresh.get("verify_ok") in (True, "true"),
-        "the streamed decode render is not bit-identical to the up-front decode render",
-    )
-    fresh_fixtures = {f["name"]: f for f in fresh.get("fixtures", [])}
-    for fixture in baseline.get("fixtures", []):
-        name = fixture["name"]
-        where = f"dataset.fixture.{name}"
-        if name not in fresh_fixtures:
-            gate.require(where, False, "fixture missing from fresh output")
-            continue
-        new = fresh_fixtures[name]
-        gate.require(
-            where,
-            new.get("source") == fixture.get("source"),
-            f"sniffed source changed ({new.get('source')} vs {fixture.get('source')})",
-        )
-        compare_section(gate, where, new, fixture, DATASET_FIXTURE_KEYS)
-        if check_times:
-            compare_section(gate, where, new, fixture, ["load_ms"])
-    fresh_scenes = {s["scene"]: s for s in fresh.get("scenes", [])}
-    for scene in baseline.get("scenes", []):
-        name = scene["scene"]
-        where = f"dataset.{name}"
-        if name not in fresh_scenes:
-            gate.require(where, False, "scene missing from fresh output")
-            continue
-        new = fresh_scenes[name]
-        compare_section(gate, where, new, scene, DATASET_COUNTER_KEYS)
-        compare_section(gate, where, new, scene, DATASET_RATIO_KEYS)
-        if check_times:
-            compare_section(gate, where, new, scene, DATASET_TIME_KEYS)
-        gate.require(
-            where,
-            new.get("verify_ok") in (True, "true"),
-            "kVerify failed or the streamed image diverged on this scene",
-        )
-
-
-def compare_quality(gate, fresh, baseline, check_times):
-    """Gates a fresh BENCH_quality.json against the committed baseline."""
-    if fresh.get("scale", {}) != baseline.get("scale", {}):
-        gate.require(
-            "quality",
-            False,
-            f"scale mismatch (fresh {fresh.get('scale')} vs baseline {baseline.get('scale')})",
-        )
-        return
-    gate.require(
-        "quality",
-        fresh.get("quality_ok") in (True, "true"),
-        "a scene's sortless PSNR/SSIM fell below the committed floor",
-    )
-    gate.require(
-        "quality",
-        fresh.get("verify_ok") in (True, "true"),
-        "the kVerify pipeline diverged from pure kSortless",
-    )
-    fresh_scenes = {s["scene"]: s for s in fresh.get("scenes", [])}
-    for scene in baseline.get("scenes", []):
-        name = scene["scene"]
-        where = f"quality.{name}"
-        if name not in fresh_scenes:
-            gate.require(where, False, "scene missing from fresh output")
-            continue
-        new = fresh_scenes[name]
-        compare_section(gate, where, new, scene, QUALITY_COUNTER_KEYS)
-        compare_section(gate, where, new, scene, QUALITY_RATIO_KEYS)
-        if check_times:
-            compare_section(gate, where, new, scene, QUALITY_TIME_KEYS)
-        gate.require(
-            where,
-            new.get("sortless_sort_pairs", 1) == 0,
-            f"sortless run sorted {new.get('sortless_sort_pairs')} pairs (must be 0)",
-        )
-        gate.require(
-            where,
-            new.get("quality_ok") in (True, "true"),
-            "sortless PSNR/SSIM fell below this scene's committed floor",
-        )
-        gate.require(
-            where,
-            new.get("verify_ok") in (True, "true"),
-            "kVerify output or counters diverged from pure kSortless on this scene",
-        )
-
-
-def compare_telemetry(gate, fresh, baseline, check_times):
-    """Gates a fresh BENCH_telemetry.json against the committed baseline."""
-    if fresh.get("scale", {}) != baseline.get("scale", {}):
-        gate.require(
-            "telemetry",
-            False,
-            f"scale mismatch (fresh {fresh.get('scale')} vs baseline {baseline.get('scale')})",
-        )
-        return
-    # Hard flags: the binary computed them on the fresh machine, so they are
-    # authoritative regardless of tolerance.
-    gate.require(
-        "telemetry",
-        fresh.get("overhead_ok") in (True, "true"),
-        f"tracing overhead {fresh.get('overhead_ratio')} exceeded the committed "
-        f"limit {fresh.get('overhead_limit')} on sort+raster",
-    )
-    gate.require(
-        "telemetry",
-        fresh.get("dropped_ok") in (True, "true"),
-        f"trace rings dropped {fresh.get('events_dropped')} events "
-        "(the run must fit the default capacity)",
-    )
-    gate.require(
-        "telemetry",
-        fresh.get("deterministic") in (True, "true"),
-        "image or counters diverged with tracing enabled",
-    )
-    gate.require(
-        "telemetry",
-        fresh.get("stage_spans_ok") in (True, "true"),
-        "a pipeline stage emitted no spans into the exported trace",
-    )
-    # Span counts are machine-independent at a fixed scale (single-threaded
-    # run): drift means instrumentation was added/removed or a stage stopped
-    # executing.
-    compare_section(gate, "telemetry", fresh, baseline, TELEMETRY_COUNTER_KEYS)
-    fresh_spans = fresh.get("stage_spans", {})
-    for stage, count in baseline.get("stage_spans", {}).items():
-        if stage not in fresh_spans:
-            gate.require("telemetry.stage_spans", False, f"stage '{stage}' missing")
-        else:
-            gate.check("telemetry.stage_spans", stage, fresh_spans[stage], count)
-    if check_times:
-        compare_section(gate, "telemetry", fresh, baseline, TELEMETRY_TIME_KEYS)
 
 
 def require_equal(gate, where, new, old):
@@ -440,82 +329,71 @@ def require_equal(gate, where, new, old):
         gate.require(where, new == old, f"{new} vs baseline {old} (must match exactly)")
 
 
-def compare_hardware(gate, fresh, baseline):
-    """Gates a fresh BENCH_hardware.json against the committed baseline."""
-
-    def header(doc):
-        return {k: v for k, v in doc.items() if k not in HARDWARE_IGNORED_KEYS + ("scenes",)}
-
-    require_equal(gate, "hardware", header(fresh), header(baseline))
-    fresh_scenes = {s["scene"]: s for s in fresh.get("scenes", [])}
-    base_scenes = {s["scene"]: s for s in baseline.get("scenes", [])}
-    for name in sorted(set(base_scenes) | set(fresh_scenes)):
-        where = f"hardware.{name}"
-        if name not in fresh_scenes:
-            gate.require(where, False, "scene missing from fresh output")
-        elif name not in base_scenes:
-            gate.require(where, False, "scene not in baseline")
-        else:
-            require_equal(gate, where, fresh_scenes[name], base_scenes[name])
+def join(where, name):
+    return f"{where}.{name}" if where else str(name)
 
 
-def compare_service(gate, fresh, baseline, check_times):
-    """Gates a fresh BENCH_service.json against the committed baseline."""
-    if fresh.get("scale", {}) != baseline.get("scale", {}):
-        gate.require(
-            "service",
-            False,
-            f"scale mismatch (fresh {fresh.get('scale')} vs baseline {baseline.get('scale')})",
-        )
-        return
-    fresh_scenes = {s["scene"]: s for s in fresh.get("scenes", [])}
-    for scene in baseline.get("scenes", []):
-        name = scene["scene"]
-        where = f"service.{name}"
-        if name not in fresh_scenes:
-            gate.require(where, False, "scene missing from fresh output")
-            continue
-        new = fresh_scenes[name]
-        compare_section(gate, where, new, scene, SERVICE_COUNTER_KEYS)
-        compare_section(gate, where, new, scene, SERVICE_RATIO_KEYS)
+def walk(gate, where, spec, new, old, check_times):
+    """Applies one table entry to a fresh record and its baseline record.
+
+    Either record is None where only one side has the section: the rules that
+    read the baseline run where the baseline has it, the flags and checks
+    where the fresh run has it.
+    """
+    fresh, base = new or {}, old or {}
+    if old is not None:
+        if spec.get("scale") and fresh.get("scale", {}) != old.get("scale", {}):
+            gate.require(where, False, f"scale mismatch (fresh {fresh.get('scale')} vs "
+                                       f"baseline {old.get('scale')})")
+            return
+        gated = spec.get("gated", [])
+        compare_section(gate, where, fresh, old, list(old) if gated == EVERY_FIELD else gated,
+                        spec.get("missing", MISSING_FIELD))
         if check_times:
-            compare_section(gate, where, new, scene, SERVICE_TIME_KEYS)
-        gate.require(
-            where,
-            new.get("identical_to_sequential") in (True, "true"),
-            "concurrent service output diverged from per-request sequential render_gstg",
-        )
-        gate.require(
-            where,
-            new.get("verify_ok") in (True, "true"),
-            "the verify gate found a response that is not bit-identical to render_gstg",
-        )
-        gate.require(
-            where,
-            new.get("malformed_rejected") in (True, "true"),
-            "a malformed request was not rejected with a typed error",
-        )
-        # The 1 -> 4 client scaling bar (> 1.5x) is judged by the fresh run
-        # itself wherever the machine has >= 4 cores to express it.
-        if new.get("scaling_gate_active") in (True, "true"):
-            gate.require(
-                where,
-                new.get("scaling_ok") in (True, "true"),
-                "1->4 client throughput scaling fell below 1.5x on a >=4-core machine",
-            )
+            timed = spec.get("timed", [])
+            if timed == TIME_FIELDS:
+                timed = [k for k in old if k.endswith(TIME_FIELDS) and k in fresh]
+            compare_section(gate, where, fresh, old, timed)
+        if "exact" in spec:
+            skip = set(spec["exact"]) | set(spec.get("lists", {}))
+            require_equal(gate, where, {k: v for k, v in fresh.items() if k not in skip},
+                          {k: v for k, v in old.items() if k not in skip})
+        for path, message in spec.get("required", {}).items():
+            section, *rest = path.split(".")
+            if section in old:
+                value = fresh.get(section)
+                for key in rest:
+                    value = (value or {}).get(key)
+                gate.require(join(where, section), value not in (None, []), message)
+    if new is not None:
+        checks = [(message, flag(new.get(key))) for key, message in spec.get("flags", {}).items()]
+        checks += [(message, holds(new, base)) for message, holds in spec.get("checks", [])]
+        for message, ok in checks:
+            if ok is not None:
+                gate.require(where, ok, message.format(new=Fields(new), old=Fields(base)))
+    for name, sub in spec.get("sections", {}).items():
+        walk(gate, join(where, name), sub, fresh.get(name), base.get(name), check_times)
+    for name, sub in spec.get("lists", {}).items():
+        if sub.get("fresh_side"):
+            for record in fresh.get(name, []):
+                walk(gate, join(where, record.get(sub["key"])), sub, record, None, check_times)
+        elif old is not None:
+            walk_list(gate, where, sub, fresh.get(name, []), old.get(name, []), check_times)
 
 
-# The optional bench sections, in the order they are checked: each
-# --<flag>=<fresh> pairs with --<flag>-baseline=<baseline>. Value: the
-# compare function and whether it takes check_times.
-SECTION_FLAGS = {
-    "temporal": (compare_temporal, False),
-    "service": (compare_service, True),
-    "dataset": (compare_dataset, True),
-    "quality": (compare_quality, True),
-    "telemetry": (compare_telemetry, True),
-    "hardware": (compare_hardware, False),
-}
+def walk_list(gate, where, spec, new, old, check_times):
+    """Matches two record lists by spec["key"] and walks each matched pair."""
+    key, prefix = spec["key"], spec.get("prefix")
+    fresh = {r[key]: r for r in new}
+    base = {r[key]: r for r in old}
+    for name in list(base) + [n for n in fresh if n not in base]:
+        at = join(where, f"{prefix}.{name}" if prefix else name)
+        if name not in fresh:
+            gate.require(at, False, f"{prefix or key} missing from fresh output")
+        elif name in base:
+            walk(gate, at, spec, fresh[name], base[name], check_times)
+        elif "extra" in spec:
+            gate.require(at, False, spec["extra"])
 
 
 def main(argv):
@@ -538,9 +416,9 @@ def main(argv):
         else:
             print(f"check_bench: unknown option {opt}")
             return 1
-    for flag in SECTION_FLAGS:
-        if (flag in paths) != (f"{flag}-baseline" in paths):
-            print(f"check_bench: --{flag} and --{flag}-baseline must be given together")
+    for bench in SECTION_FLAGS:
+        if (bench in paths) != (f"{bench}-baseline" in paths):
+            print(f"check_bench: --{bench} and --{bench}-baseline must be given together")
             return 1
 
     with open(args[0]) as f:
@@ -572,62 +450,15 @@ def main(argv):
             "refresh the baseline to cover them (bench/README.md)"
         )
 
-    for name, base in sorted(base_scenes.items()):
-        new = fresh_scenes[name]
-        gate.require(
-            name,
-            new.get("lossless_max_abs_diff", 1) == 0,
-            f"lossless violation (max diff {new.get('lossless_max_abs_diff')})",
-        )
-        for section in ("baseline", "gstg"):
-            if section in base:
-                compare_section(
-                    gate, f"{name}.{section}", new.get(section, {}), base[section], COUNTER_KEYS
-                )
-                if check_times:
-                    compare_times(gate, f"{name}.{section}", new.get(section, {}), base[section])
-        if "ratios" in base:
-            compare_section(gate, f"{name}.ratios", new.get("ratios", {}), base["ratios"], RATIO_KEYS)
-        # Correctness sections are required from the baseline's side: a fresh
-        # output that stops emitting them must fail, not silently skip the gate.
-        if "batch" in base:
-            gate.require(f"{name}.batch", "batch" in new, "batch section missing from fresh output")
-        if "batch" in new:
-            gate.require(
-                f"{name}.batch",
-                new["batch"].get("identical_to_sequential") in (True, "true"),
-                "batch output diverged from sequential rendering",
-            )
-        if "residency" in new:
-            gate.require(
-                f"{name}.residency",
-                new["residency"].get("identical_to_upfront") in (True, "true"),
-                "streamed compressed-residency render diverged from up-front decode",
-            )
-        if "simd" in base:
-            gate.require(
-                f"{name}.simd",
-                bool(new.get("simd", {}).get("backends")),
-                "simd section missing or empty in fresh output",
-            )
-        for backend in new.get("simd", {}).get("backends", []):
-            gate.require(
-                f"{name}.simd.{backend.get('backend')}",
-                backend.get("exact_identical_to_scalar") in (True, "true"),
-                "exact-mode framebuffer diverged from the scalar backend",
-            )
-
-    for flag, (compare, takes_check_times) in SECTION_FLAGS.items():
-        if flag not in paths:
+    walk(gate, "", BENCHES["software"], fresh, baseline, check_times)
+    for bench in SECTION_FLAGS:
+        if bench not in paths:
             continue
-        with open(paths[flag]) as f:
+        with open(paths[bench]) as f:
             section_fresh = json.load(f)
-        with open(paths[f"{flag}-baseline"]) as f:
+        with open(paths[f"{bench}-baseline"]) as f:
             section_baseline = json.load(f)
-        if takes_check_times:
-            compare(gate, section_fresh, section_baseline, check_times)
-        else:
-            compare(gate, section_fresh, section_baseline)
+        walk(gate, bench, BENCHES[bench], section_fresh, section_baseline, check_times)
 
     if gate.failures:
         print(f"check_bench: FAIL — {len(gate.failures)} violation(s), {gate.checked} checks:")

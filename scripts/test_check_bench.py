@@ -279,6 +279,12 @@ class CheckBenchTest(unittest.TestCase):
         self.assert_fails(self.run_gate(fresh, software_doc()),
                           "streamed compressed-residency render diverged")
 
+    def test_missing_residency_section_fails(self):
+        fresh = software_doc()
+        del fresh["scenes"][0]["residency"]
+        self.assert_fails(self.run_gate(fresh, software_doc()),
+                          "orbit.residency: residency section missing from fresh output")
+
     def test_missing_scene_fails(self):
         fresh = software_doc()
         fresh["scenes"] = []
