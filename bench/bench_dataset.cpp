@@ -15,7 +15,6 @@
 //
 // Run:  ./bench_dataset [--out-dir=.] [--scenes=train,truck] [--repeat=3]
 //                       [--threads=N] [--data-dir=tests/data]
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -25,7 +24,6 @@
 #include "common/cli.h"
 #include "common/runconfig.h"
 #include "common/table.h"
-#include "common/timer.h"
 #include "core/renderer.h"
 #include "dataset/load_scene.h"
 #include "gaussian/compressed.h"
@@ -41,23 +39,12 @@ namespace {
 
 using namespace gstg;
 using benchutil::JsonWriter;
+using benchutil::best_ms_of;
 using benchutil::cached_scene;
 
 /// The residency bar: the fp16 form must make the resident Gaussian state
 /// at least this many times smaller than the float32 SoA, on every scene.
 constexpr double kCompressionGate = 2.0;
-
-/// Best-of-N wall-clock of an action (milliseconds).
-template <typename Fn>
-double best_ms_of(int repeat, const Fn& fn) {
-  double best = 1e300;
-  for (int i = 0; i < std::max(1, repeat); ++i) {
-    Timer timer;
-    fn();
-    best = std::min(best, timer.lap_ms());
-  }
-  return best;
-}
 
 /// The committed loader fixtures, one per on-disk serialisation. Paths are
 /// relative to --data-dir (default: the source-tree tests/data).

@@ -3,6 +3,7 @@
 // small helpers for the paper-shaped output tables.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -16,6 +17,7 @@
 
 #include "common/cli.h"
 #include "common/runconfig.h"
+#include "common/timer.h"
 #include "scene/scene.h"
 
 namespace gstg::benchutil {
@@ -97,6 +99,19 @@ inline std::uint64_t peak_rss_bytes() {
   }
 #endif
   return 0;
+}
+
+/// Best-of-N wall-clock of an action, in milliseconds: the least-noisy
+/// sample of `repeat` runs (at least one).
+template <typename Fn>
+double best_ms_of(int repeat, const Fn& fn) {
+  double best = 1e300;
+  for (int i = 0; i < std::max(1, repeat); ++i) {
+    Timer timer;
+    fn();
+    best = std::min(best, timer.lap_ms());
+  }
+  return best;
 }
 
 /// Banner describing the workload scale, printed by every bench binary so

@@ -36,6 +36,7 @@ namespace {
 
 using namespace gstg;
 using benchutil::JsonWriter;
+using benchutil::best_ms_of;
 using benchutil::cached_scene;
 
 void write_header(JsonWriter& json, const char* kind) {
@@ -77,18 +78,6 @@ RenderResult best_of(int repeat, const RenderFn& render) {
   for (int i = 1; i < repeat; ++i) {
     RenderResult r = render();
     if (r.times.total_ms() < best.times.total_ms()) best = std::move(r);
-  }
-  return best;
-}
-
-/// Best-of-N wall-clock of an arbitrary action (milliseconds).
-template <typename Fn>
-double best_ms_of(int repeat, const Fn& fn) {
-  double best = 1e300;
-  for (int i = 0; i < std::max(1, repeat); ++i) {
-    Timer timer;
-    fn();
-    best = std::min(best, timer.lap_ms());
   }
   return best;
 }

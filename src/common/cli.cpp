@@ -4,7 +4,8 @@
 #include <cerrno>
 #include <charconv>
 #include <cstdlib>
-#include <stdexcept>
+
+#include "common/runconfig.h"
 
 namespace gstg {
 
@@ -13,18 +14,19 @@ namespace {
 // Strict full-string integer parse. std::stoi would stop at the first
 // non-digit ("16x" -> 16) and throw bare std::invalid_argument /
 // std::out_of_range with no hint which flag was malformed; here the whole
-// value must be one integer and every failure names the flag and the value.
+// value must be one integer and every failure is a ConfigError naming the
+// flag and the value.
 int parse_flag_int(const std::string& key, const std::string& value) {
   int parsed = 0;
   const char* begin = value.data();
   const char* end = begin + value.size();
   const auto [ptr, ec] = std::from_chars(begin, end, parsed);
   if (ec == std::errc::result_out_of_range) {
-    throw std::invalid_argument("--" + key + ": integer out of range '" + value + "'");
+    throw ConfigError("--" + key + ": integer out of range '" + value + "'");
   }
   if (ec != std::errc() || ptr != end) {
-    throw std::invalid_argument("--" + key + ": invalid integer '" + value +
-                                "' (expected a whole decimal number)");
+    throw ConfigError("--" + key + ": invalid integer '" + value +
+                      "' (expected a whole decimal number)");
   }
   return parsed;
 }
@@ -37,23 +39,23 @@ int parse_flag_int(const std::string& key, const std::string& value) {
 // first, matching the integer parser's strictness.
 double parse_flag_double(const std::string& key, const std::string& value) {
   if (value.empty()) {
-    throw std::invalid_argument("--" + key + ": empty value (expected a number)");
+    throw ConfigError("--" + key + ": empty value (expected a number)");
   }
   for (const char c : value) {
     const bool allowed =
         (c >= '0' && c <= '9') || c == '.' || c == '+' || c == '-' || c == 'e' || c == 'E';
     if (!allowed) {
-      throw std::invalid_argument("--" + key + ": invalid number '" + value + "'");
+      throw ConfigError("--" + key + ": invalid number '" + value + "'");
     }
   }
   errno = 0;
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
   if (end != value.c_str() + value.size() || end == value.c_str()) {
-    throw std::invalid_argument("--" + key + ": invalid number '" + value + "'");
+    throw ConfigError("--" + key + ": invalid number '" + value + "'");
   }
   if (errno == ERANGE) {
-    throw std::invalid_argument("--" + key + ": number out of range '" + value + "'");
+    throw ConfigError("--" + key + ": number out of range '" + value + "'");
   }
   return parsed;
 }
@@ -62,7 +64,7 @@ double parse_flag_double(const std::string& key, const std::string& value) {
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   if (argc < 1) {
-    throw std::invalid_argument("CliArgs: empty argv");
+    throw ConfigError("CliArgs: empty argv");
   }
   program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
@@ -102,8 +104,8 @@ std::size_t CliArgs::get_size(const std::string& key, std::size_t fallback) cons
   if (it == flags_.end()) return fallback;
   const int parsed = parse_flag_int(key, it->second);
   if (parsed < 0) {
-    throw std::invalid_argument("--" + key + ": negative value '" + it->second +
-                                "' (expected a count >= 0)");
+    throw ConfigError("--" + key + ": negative value '" + it->second +
+                      "' (expected a count >= 0)");
   }
   return static_cast<std::size_t>(parsed);
 }
@@ -112,7 +114,7 @@ void CliArgs::require_known(const std::vector<std::string>& known) const {
   for (const auto& [key, value] : flags_) {
     (void)value;
     if (std::find(known.begin(), known.end(), key) == known.end()) {
-      throw std::invalid_argument("unknown flag --" + key);
+      throw ConfigError("unknown flag --" + key);
     }
   }
 }

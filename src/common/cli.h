@@ -4,8 +4,8 @@
 // flags are reported so examples fail loudly on typos. Numeric getters
 // parse the *entire* value ("--tile=16x" is an error, not 16) and every
 // parse failure names the flag and the offending value, so a mistyped
-// invocation dies with an actionable message instead of an uncaught
-// std::invalid_argument from deep inside std::stoi.
+// invocation dies with an actionable ConfigError (common/runconfig.h)
+// instead of an uncaught std::invalid_argument from deep inside std::stoi.
 #pragma once
 
 #include <cstddef>
@@ -17,13 +17,13 @@ namespace gstg {
 
 class CliArgs {
  public:
-  /// Parses argv. Throws std::invalid_argument on malformed input.
+  /// Parses argv. Throws ConfigError on an empty argv.
   CliArgs(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& key) const { return flags_.count(key) != 0; }
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
   /// Strict numeric getters: the full value must parse (no trailing
-  /// garbage, no overflow); throws std::invalid_argument naming the flag
+  /// garbage, no overflow); throws ConfigError naming the flag
   /// and value. The fallback is returned only when the flag is absent.
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] int get_int(const std::string& key, int fallback) const;
@@ -35,7 +35,7 @@ class CliArgs {
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
   [[nodiscard]] const std::string& program() const { return program_; }
 
-  /// Throws if any parsed flag is not in `known` (catches typos).
+  /// Throws ConfigError if any parsed flag is not in `known` (catches typos).
   void require_known(const std::vector<std::string>& known) const;
 
  private:

@@ -36,8 +36,9 @@ inline constexpr const char* kGstgEnvVars[] = {
     "GSTG_TRACE",             // telemetry: trace JSON written at process exit
 };
 
-/// A malformed or unknown GSTG_* run-knob value. The message names the
-/// variable, the value and what was expected. Derives from
+/// A malformed or unknown operator-set value: a GSTG_* run knob, or a
+/// command-line flag parsed by CliArgs. The message names the variable or
+/// flag, the value and what was expected. Derives from
 /// std::invalid_argument, so precondition-style catch sites still hold.
 class ConfigError : public std::invalid_argument {
  public:

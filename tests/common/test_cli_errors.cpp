@@ -1,14 +1,15 @@
 // Malformed-CLI corpus: the numeric flag getters must parse the entire
-// value and reject junk with an error that names the flag and the value —
-// "--tile=16x" used to parse as 16, and "--tile=junk" used to escape as a
-// bare std::invalid_argument from std::stoi.
+// value and reject junk with a ConfigError that names the flag and the
+// value — "--tile=16x" used to parse as 16, and "--tile=junk" used to escape
+// as a bare std::invalid_argument from std::stoi.
 #include "common/cli.h"
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "common/runconfig.h"
 
 namespace gstg {
 namespace {
@@ -24,8 +25,8 @@ template <typename Fn>
 void expect_named_error(Fn&& fn, const std::string& flag, const std::string& value) {
   try {
     fn();
-    FAIL() << "expected std::invalid_argument for --" << flag << "=" << value;
-  } catch (const std::invalid_argument& e) {
+    FAIL() << "expected ConfigError for --" << flag << "=" << value;
+  } catch (const ConfigError& e) {
     const std::string message = e.what();
     EXPECT_NE(message.find("--" + flag), std::string::npos) << message;
     EXPECT_NE(message.find(value), std::string::npos) << message;
@@ -40,7 +41,7 @@ TEST(CliErrors, IntTrailingGarbageRejected) {
 TEST(CliErrors, IntCorpusRejected) {
   for (const char* bad : {"junk", "", " 16", "16 ", "1.5", "0x10", "+", "-", "--tile"}) {
     const CliArgs args = make_args({std::string("--tile=") + bad});
-    EXPECT_THROW((void)args.get_int("tile", 0), std::invalid_argument) << "value '" << bad << "'";
+    EXPECT_THROW((void)args.get_int("tile", 0), ConfigError) << "value '" << bad << "'";
   }
 }
 
@@ -74,8 +75,7 @@ TEST(CliErrors, DoubleCorpusRejected) {
        {"1.5x", "abc", "", "2.5 ", " 2.5", "1,5", "nan", "NAN", "inf", "-inf", "nan(", "0x10",
         "--"}) {
     const CliArgs args = make_args({std::string("--rho=") + bad});
-    EXPECT_THROW((void)args.get_double("rho", 0.0), std::invalid_argument)
-        << "value '" << bad << "'";
+    EXPECT_THROW((void)args.get_double("rho", 0.0), ConfigError) << "value '" << bad << "'";
   }
 }
 
@@ -94,12 +94,12 @@ TEST(CliErrors, DoubleValidValuesParse) {
 
 TEST(CliErrors, DoubleOverflowRejected) {
   const CliArgs args = make_args({"--rho=1e999"});
-  EXPECT_THROW((void)args.get_double("rho", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("rho", 0.0), ConfigError);
 }
 
 TEST(CliErrors, UnknownFlagStillRejected) {
   const CliArgs args = make_args({"--tpyo=1"});
-  EXPECT_THROW(args.require_known({"typo"}), std::invalid_argument);
+  EXPECT_THROW(args.require_known({"typo"}), ConfigError);
 }
 
 }  // namespace
