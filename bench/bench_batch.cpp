@@ -1,8 +1,7 @@
 // Batched multi-view rendering: persistent FrameContext reuse and
 // view-level parallelism (core/renderer.h) against the one-shot
-// render_gstg loop, plus the group-sort algorithm A/B. These are the
-// serving-path numbers — a multi-user deployment renders exactly like the
-// "reused"/"batch" rows.
+// render_gstg loop. These are the serving-path numbers — a multi-user
+// deployment renders exactly like the "reused"/"batch" rows.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

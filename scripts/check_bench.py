@@ -73,6 +73,9 @@ What is compared, and why:
     exactly. Only timestamp_utc and peak_rss_bytes are ignored. A scene
     missing from, or added to, the fresh output fails.
 
+Records are indexed by their key field (scene, path, name, ...); a record
+without it fails as a violation naming its list and index.
+
 Wall-clock fields (*_ms, speedups derived from them) are skipped by default:
 absolute times are machine-dependent and CI runners are noisy. Pass
 --check-times for same-machine comparisons (e.g. refreshing the baseline
@@ -375,17 +378,31 @@ def walk(gate, where, spec, new, old, check_times):
         walk(gate, join(where, name), sub, fresh.get(name), base.get(name), check_times)
     for name, sub in spec.get("lists", {}).items():
         if sub.get("fresh_side"):
-            for record in fresh.get(name, []):
-                walk(gate, join(where, record.get(sub["key"])), sub, record, None, check_times)
+            records = keyed(gate, where, name, fresh.get(name, []), sub["key"], "fresh")
+            for key, record in records.items():
+                walk(gate, join(where, key), sub, record, None, check_times)
         elif old is not None:
-            walk_list(gate, where, sub, fresh.get(name, []), old.get(name, []), check_times)
+            walk_list(gate, where, name, sub, fresh.get(name, []), old.get(name, []),
+                      check_times)
 
 
-def walk_list(gate, where, spec, new, old, check_times):
+def keyed(gate, where, name, records, key, side):
+    """Indexes a record list by its key field; a record without one fails."""
+    out = {}
+    for i, record in enumerate(records):
+        if key in record:
+            out[record[key]] = record
+        else:
+            gate.require(join(where, f"{name}[{i}]"), False,
+                         f"{side} record lacks its key field '{key}'")
+    return out
+
+
+def walk_list(gate, where, name, spec, new, old, check_times):
     """Matches two record lists by spec["key"] and walks each matched pair."""
     key, prefix = spec["key"], spec.get("prefix")
-    fresh = {r[key]: r for r in new}
-    base = {r[key]: r for r in old}
+    fresh = keyed(gate, where, name, new, key, "fresh")
+    base = keyed(gate, where, name, old, key, "baseline")
     for name in list(base) + [n for n in fresh if n not in base]:
         at = join(where, f"{prefix}.{name}" if prefix else name)
         if name not in fresh:
@@ -394,6 +411,14 @@ def walk_list(gate, where, spec, new, old, check_times):
             walk(gate, at, spec, fresh[name], base[name], check_times)
         elif "extra" in spec:
             gate.require(at, False, spec["extra"])
+
+
+def report(gate):
+    print(f"check_bench: FAIL — {len(gate.failures)} violation(s), {gate.checked} checks:")
+    for f in gate.failures:
+        print(f"  {f}")
+    print("If the change is intentional, refresh the baseline (bench/README.md).")
+    return 1
 
 
 def main(argv):
@@ -437,8 +462,10 @@ def main(argv):
         )
         return 1
 
-    fresh_scenes = {s["scene"]: s for s in fresh.get("scenes", [])}
-    base_scenes = {s["scene"]: s for s in baseline.get("scenes", [])}
+    fresh_scenes = keyed(gate, "", "scenes", fresh.get("scenes", []), "scene", "fresh")
+    base_scenes = keyed(gate, "", "scenes", baseline.get("scenes", []), "scene", "baseline")
+    if gate.failures:
+        return report(gate)
     missing = sorted(set(base_scenes) - set(fresh_scenes))
     if missing:
         print(f"check_bench: FAIL — scenes missing from fresh output: {missing}")
@@ -461,11 +488,7 @@ def main(argv):
         walk(gate, bench, BENCHES[bench], section_fresh, section_baseline, check_times)
 
     if gate.failures:
-        print(f"check_bench: FAIL — {len(gate.failures)} violation(s), {gate.checked} checks:")
-        for f in gate.failures:
-            print(f"  {f}")
-        print("If the change is intentional, refresh the baseline (bench/README.md).")
-        return 1
+        return report(gate)
     print(
         f"check_bench: OK ({gate.checked} checks within {tolerance * 100.0:.0f}% across "
         f"{len(base_scenes)} scenes)"

@@ -8,7 +8,8 @@ run, the +/-15% counter tolerance (both sides), --tolerance, hard
 correctness flags (lossless, batch/simd/residency identity, temporal /
 dataset / quality / telemetry / service gates), the exact
 accelerator-model gate (hardware), scale mismatch,
-missing scenes/fields, wall-clock skipping vs --check-times, and CLI
+missing scenes/fields, records without their key field, wall-clock
+skipping vs --check-times, and CLI
 contract errors (unpaired section flags, unknown options).
 
 Run directly (python3 scripts/test_check_bench.py) or via CTest
@@ -273,6 +274,12 @@ class CheckBenchTest(unittest.TestCase):
         fresh["scenes"][0]["simd"]["backends"][1]["exact_identical_to_scalar"] = False
         self.assert_fails(self.run_gate(fresh, software_doc()), "simd.avx2")
 
+    def test_simd_backend_without_its_key_fails(self):
+        fresh = software_doc()
+        del fresh["scenes"][0]["simd"]["backends"][1]["backend"]
+        self.assert_fails(self.run_gate(fresh, software_doc()),
+                          "orbit.simd.backends[1]: fresh record lacks its key field 'backend'")
+
     def test_residency_divergence_fails(self):
         fresh = software_doc()
         fresh["scenes"][0]["residency"]["identical_to_upfront"] = False
@@ -289,6 +296,12 @@ class CheckBenchTest(unittest.TestCase):
         fresh = software_doc()
         fresh["scenes"] = []
         self.assert_fails(self.run_gate(fresh, software_doc()), "scenes missing")
+
+    def test_scene_without_its_key_fails(self):
+        fresh = software_doc()
+        del fresh["scenes"][0]["scene"]
+        self.assert_fails(self.run_gate(fresh, software_doc()),
+                          "scenes[0]: fresh record lacks its key field 'scene'")
 
     def test_extra_scene_is_noted_but_passes(self):
         fresh = software_doc()
@@ -473,6 +486,12 @@ class CheckBenchTest(unittest.TestCase):
         fresh["scenes"][0]["paths"] = []
         self.assert_fails(self.section_gate("temporal", fresh, temporal_doc()),
                           "temporal.orbit.orbit_slow: path missing from fresh output")
+
+    def test_temporal_path_without_its_key_fails(self):
+        fresh = temporal_doc()
+        del fresh["scenes"][0]["paths"][0]["path"]
+        self.assert_fails(self.section_gate("temporal", fresh, temporal_doc()),
+                          "temporal.orbit.paths[0]: fresh record lacks its key field 'path'")
 
     def test_temporal_missing_scene_fails(self):
         fresh = temporal_doc()

@@ -86,8 +86,8 @@ std::size_t env_positive_size(const char* name, std::size_t fallback);
 ///   kOff    — sort every group every frame (the plain renderer's behaviour)
 ///   kReuse  — reuse the previous frame's per-group order when the O(n)
 ///             validity check proves it is still the exact sorted order
-///   kVerify — reuse, but also re-sort every group and assert the reused
-///             order is bit-identical (the lossless-invariant audit mode)
+///   kVerify — reuse, then compare every group with the kOff frame's
+///             order, which ships (the lossless-invariant audit mode)
 enum class TemporalMode : std::uint8_t { kOff, kReuse, kVerify };
 
 [[nodiscard]] const char* to_string(TemporalMode mode);
@@ -105,8 +105,8 @@ enum class BinningMode : std::uint8_t { kAuto };
 ///                 blocks on touch inside preprocess (half the resident
 ///                 bytes, the memory-bandwidth execution model of the
 ///                 129FPS Full-HD accelerator)
-///   kVerify     — decode the full cloud up front AND stream-decode, then
-///                 assert the two renders are bit-identical (the audit mode)
+///   kVerify     — stream-decode, then assert the splats equal those of
+///                 the kFloat32 frame bit for bit (the audit mode)
 enum class ResidencyMode : std::uint8_t { kFloat32, kCompressed, kVerify };
 
 [[nodiscard]] const char* to_string(ResidencyMode mode);
@@ -124,9 +124,9 @@ enum class ResidencyMode : std::uint8_t { kFloat32, kCompressed, kVerify };
 ///               2506.07069); deterministic bit-for-bit across thread
 ///               counts, SIMD backends and list orders, but approximate
 ///               with respect to exact output
-///   kVerify   — render both paths for every frame, ship the sortless
-///               image, and report PSNR/SSIM against the exact reference
-///               (the quality-audit mode; see src/render/quality.h)
+///   kVerify   — ship the sortless image and report its PSNR/SSIM
+///               against the kExact frame (the quality-audit mode; see
+///               src/render/quality.h)
 enum class PipelineMode : std::uint8_t { kExact, kSortless, kVerify };
 
 [[nodiscard]] const char* to_string(PipelineMode mode);

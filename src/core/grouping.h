@@ -112,8 +112,7 @@ void rasterize_grouped(const GroupedFrame& frame, std::span<const ProjectedSplat
 /// tile kernel: the same bitmask AND-filter per tile, but the filtered list
 /// is blended WITHOUT sort_groups having run — the kSortless/kVerify
 /// pipelines (common/runconfig.h). The blended image is bit-identical
-/// regardless of entry order, so it does not matter whether the frame's
-/// bins are raw (kSortless) or happen to be sorted (the kVerify audit).
+/// regardless of entry order, so the frame's bins need no sort.
 GSTG_HOT_NOALLOC
 void rasterize_grouped_sortless(const GroupedFrame& frame,
                                 std::span<const ProjectedSplat> splats, Framebuffer& fb,

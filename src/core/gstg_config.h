@@ -41,23 +41,23 @@ struct GsTgConfig {
   /// (src/temporal/temporal_renderer.h). kOff by default so the one-shot and
   /// batch paths are untouched; every mode is pixel-exact — reuse only
   /// happens when the cached order is provably the sorted order, and kVerify
-  /// re-sorts to audit that proof.
+  /// audits that proof against the kOff frame.
   TemporalMode temporal = TemporalMode::kOff;
   /// Read by nothing; it stays only so that perfbench/ builds unchanged.
   BinningMode binning = BinningMode::kAuto;
   /// Resident-form policy of the compressed render path — only consulted by
   /// Renderer::render(const CompressedCloud&, ...): kCompressed (the default)
   /// streams fp16 blocks through per-worker decode scratch, kFloat32 decodes
-  /// the whole cloud up front, and kVerify runs both preprocesses and throws
-  /// ResidencyError unless the streamed splat stream is bit-identical to the
-  /// up-front one.
+  /// the whole cloud up front, and kVerify streams, then throws
+  /// ResidencyError unless the splat stream is bit-identical to that of the
+  /// kFloat32 frame.
   ResidencyMode residency = ResidencyMode::kCompressed;
   /// Blending discipline (common/runconfig.h): kExact (the default) keeps the
   /// depth-sorted, bit-identical pipeline; kSortless skips group sorting
   /// entirely and blends with order-independent transmittance — intentionally
   /// lossy, gated on a PSNR/SSIM floor (bench_quality) instead of the
   /// lossless gate; kVerify ships the sortless image and also renders the
-  /// exact reference, reporting per-frame quality (FrameContext::quality).
+  /// kExact frame, reporting per-frame quality (FrameContext::quality).
   PipelineMode pipeline = PipelineMode::kExact;
   std::size_t threads = 0;  ///< 0 = auto
   /// Starts the process-global trace collector (src/telemetry/trace.h) when

@@ -5,6 +5,7 @@
 #include <bit>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "telemetry/trace.h"
 
@@ -42,51 +43,17 @@ void preprocess_stage(const GsTgConfig& config, const GaussianCloud& cloud, cons
                   ctx.preprocess);
 }
 
-/// Preprocessing of the fp16-resident cloud under config.residency.
+/// Preprocessing of the fp16-resident cloud: kFloat32 decodes it up front,
+/// kCompressed and kVerify stream fp16 blocks.
 void preprocess_stage(const GsTgConfig& config, const CompressedCloud& cloud,
                       const Camera& camera, FrameContext& ctx) {
   const RenderConfig rc = config.render_config();
-  switch (config.residency) {
-    case ResidencyMode::kFloat32:
-      cloud.decode_range(0, cloud.size(), ctx.decoded);
-      preprocess_into(ctx.decoded, camera, rc, ctx.counters, ctx.splats, ctx.preprocess);
-      break;
-    case ResidencyMode::kCompressed:
-      preprocess_compressed_into(cloud, camera, rc, ctx.counters, ctx.splats, ctx.preprocess,
-                                 ctx.decode);
-      break;
-    case ResidencyMode::kVerify: {
-      // Streamed run (the one whose products the frame keeps) plus the
-      // up-front-decode reference run into separate scratch; the audit
-      // demands representation-level equality of the splat streams. The
-      // downstream stages are deterministic functions of the splat stream,
-      // so this equality is image equality.
-      preprocess_compressed_into(cloud, camera, rc, ctx.counters, ctx.splats, ctx.preprocess,
-                                 ctx.decode);
-      cloud.decode_range(0, cloud.size(), ctx.decoded);
-      RenderCounters reference;
-      preprocess_into(ctx.decoded, camera, rc, reference, ctx.verify_splats,
-                      ctx.verify_preprocess);
-      if (reference.input_gaussians != ctx.counters.input_gaussians ||
-          reference.visible_gaussians != ctx.counters.visible_gaussians) {
-        throw ResidencyError("verify: streamed preprocess counters diverge (visible " +
-                             std::to_string(ctx.counters.visible_gaussians) + " vs " +
-                             std::to_string(reference.visible_gaussians) + ")");
-      }
-      if (ctx.splats.size() != ctx.verify_splats.size()) {
-        throw ResidencyError("verify: streamed survivor count " +
-                             std::to_string(ctx.splats.size()) + " != up-front count " +
-                             std::to_string(ctx.verify_splats.size()));
-      }
-      for (std::size_t i = 0; i < ctx.splats.size(); ++i) {
-        if (!splats_identical(ctx.splats[i], ctx.verify_splats[i])) {
-          throw ResidencyError("verify: splat " + std::to_string(i) +
-                               " (cloud index " + std::to_string(ctx.splats[i].index) +
-                               ") differs between streamed and up-front decode");
-        }
-      }
-      break;
-    }
+  if (config.residency == ResidencyMode::kFloat32) {
+    cloud.decode_range(0, cloud.size(), ctx.decoded);
+    preprocess_into(ctx.decoded, camera, rc, ctx.counters, ctx.splats, ctx.preprocess);
+  } else {
+    preprocess_compressed_into(cloud, camera, rc, ctx.counters, ctx.splats, ctx.preprocess,
+                               ctx.decode);
   }
 }
 
@@ -132,27 +99,104 @@ void begin(const GsTgConfig& config, const Cloud& cloud, const Camera& camera, F
   }
 }
 
-/// One whole frame with the plain ordering step (exact pipeline only).
+void order(const GsTgConfig& config, FrameContext& ctx) {
+  GSTG_SPAN("sort_groups");
+  sort_groups(ctx.frame.group_bins, ctx.frame.masks, ctx.splats, config.threads, ctx.counters,
+              SortAlgo::kAuto, &ctx.sort);
+}
+
 template <class Cloud>
-void render_frame(const Renderer& renderer, const Cloud& cloud, const Camera& camera,
+void render_frame(const GsTgConfig& config, const Cloud& cloud, const Camera& camera,
+                  FrameContext& ctx);
+
+template <class Cloud>
+const FrameContext& reference_frame(GsTgConfig config, const Cloud& cloud, const Camera& camera,
+                                    FrameContext& ctx) {
+  config.residency = ResidencyMode::kFloat32;
+  config.pipeline = PipelineMode::kExact;
+  config.temporal = TemporalMode::kOff;
+  if (!ctx.reference) ctx.reference = std::make_unique<FrameContext>();
+  render_frame(config, cloud, camera, *ctx.reference);
+  return *ctx.reference;
+}
+
+/// The residency audit: the streamed splat stream must equal the up-front
+/// decode's bit for bit.
+void audit_splats(const FrameContext& ctx, const FrameContext& reference) {
+  if (reference.counters.input_gaussians != ctx.counters.input_gaussians ||
+      reference.counters.visible_gaussians != ctx.counters.visible_gaussians) {
+    throw ResidencyError("verify: streamed preprocess counters diverge (visible " +
+                         std::to_string(ctx.counters.visible_gaussians) + " vs " +
+                         std::to_string(reference.counters.visible_gaussians) + ")");
+  }
+  if (ctx.splats.size() != reference.splats.size()) {
+    throw ResidencyError("verify: streamed survivor count " + std::to_string(ctx.splats.size()) +
+                         " != up-front count " + std::to_string(reference.splats.size()));
+  }
+  for (std::size_t i = 0; i < ctx.splats.size(); ++i) {
+    if (!splats_identical(ctx.splats[i], reference.splats[i])) {
+      throw ResidencyError("verify: splat " + std::to_string(i) + " (cloud index " +
+                           std::to_string(ctx.splats[i].index) +
+                           ") differs between streamed and up-front decode");
+    }
+  }
+}
+
+/// The raster stage, then the frame's residency (compressed clouds only)
+/// and pipeline audits against one reference frame, outside every lap.
+template <class Cloud>
+void end(const GsTgConfig& config, const Cloud& cloud, const Camera& camera, FrameContext& ctx,
+         Timer& timer) {
+  // Whatever ordering ran since bitmask generation is the sort stage. The
+  // sortless pipelines run none: the raw bin order feeds the
+  // order-independent kernel directly (its output is invariant under any
+  // reordering), so ctx.counters reports zero sort_pairs.
+  ctx.times.sort_ms = timer.lap_ms();
+  {
+    // Tile-wise rasterization with bitmask filtering.
+    GSTG_SPAN("raster");
+    ctx.image.resize(camera.width(), camera.height());
+    if (config.pipeline == PipelineMode::kExact) {
+      rasterize_grouped(ctx.frame, ctx.splats, ctx.image, config.threads, ctx.counters,
+                        &ctx.raster);
+    } else {
+      rasterize_grouped_sortless(ctx.frame, ctx.splats, ctx.image, config.threads, ctx.counters,
+                                 &ctx.raster);
+    }
+  }
+  ctx.times.raster_ms = timer.lap_ms();
+
+  const bool residency_audit = std::is_same_v<Cloud, CompressedCloud> &&
+                               config.residency == ResidencyMode::kVerify;
+  const bool pipeline_audit = config.pipeline == PipelineMode::kVerify;
+  if (!residency_audit && !pipeline_audit) return;
+  GSTG_SPAN("audit");
+  const FrameContext& reference = reference_frame(config, cloud, camera, ctx);
+  if (residency_audit) audit_splats(ctx, reference);
+  if (pipeline_audit) ctx.quality = image_quality(reference.image, ctx.image);
+}
+
+/// One whole frame; the exact pipeline orders with the plain group sort.
+template <class Cloud>
+void render_frame(const GsTgConfig& config, const Cloud& cloud, const Camera& camera,
                   FrameContext& ctx) {
   GSTG_SPAN("frame");
   Timer timer;
-  begin(renderer.config(), cloud, camera, ctx, timer);
-  if (renderer.config().pipeline == PipelineMode::kExact) renderer.order_groups(ctx);
-  renderer.end_frame(camera, ctx, timer);
+  begin(config, cloud, camera, ctx, timer);
+  if (config.pipeline == PipelineMode::kExact) order(config, ctx);
+  end(config, cloud, camera, ctx, timer);
 }
 
 }  // namespace
 
 void Renderer::render(const GaussianCloud& cloud, const Camera& camera,
                       FrameContext& ctx) const {
-  render_frame(*this, cloud, camera, ctx);
+  render_frame(config_, cloud, camera, ctx);
 }
 
 void Renderer::render(const CompressedCloud& cloud, const Camera& camera,
                       FrameContext& ctx) const {
-  render_frame(*this, cloud, camera, ctx);
+  render_frame(config_, cloud, camera, ctx);
 }
 
 void Renderer::begin_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx,
@@ -160,47 +204,16 @@ void Renderer::begin_frame(const GaussianCloud& cloud, const Camera& camera, Fra
   begin(config_, cloud, camera, ctx, timer);
 }
 
-void Renderer::order_groups(FrameContext& ctx) const {
-  GSTG_SPAN("sort_groups");
-  sort_groups(ctx.frame.group_bins, ctx.frame.masks, ctx.splats, config_.threads, ctx.counters,
-              SortAlgo::kAuto, &ctx.sort);
+void Renderer::order_groups(FrameContext& ctx) const { order(config_, ctx); }
+
+void Renderer::end_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx,
+                         Timer& timer) const {
+  end(config_, cloud, camera, ctx, timer);
 }
 
-void Renderer::end_frame(const Camera& camera, FrameContext& ctx, Timer& timer) const {
-  // Whatever ordering ran since bitmask generation is the sort stage. The
-  // sortless pipelines run none: the raw bin order feeds the
-  // order-independent kernel directly (its output is invariant under any
-  // reordering), so ctx.counters reports zero sort_pairs.
-  ctx.times.sort_ms = timer.lap_ms();
-
-  {
-    // Tile-wise rasterization with bitmask filtering.
-    GSTG_SPAN("raster");
-    ctx.image.resize(camera.width(), camera.height());
-    if (config_.pipeline == PipelineMode::kExact) {
-      rasterize_grouped(ctx.frame, ctx.splats, ctx.image, config_.threads, ctx.counters,
-                        &ctx.raster);
-    } else {
-      rasterize_grouped_sortless(ctx.frame, ctx.splats, ctx.image, config_.threads,
-                                 ctx.counters, &ctx.raster);
-    }
-  }
-  ctx.times.raster_ms = timer.lap_ms();
-
-  if (config_.pipeline == PipelineMode::kVerify) {
-    // Quality audit: sort the bins and render the exact reference. Audit
-    // work is charged to a discarded counter record — ctx.counters (and
-    // ctx.image, already flushed above) match a pure kSortless frame, and
-    // the audit time stays out of the per-stage attribution.
-    GSTG_SPAN("quality_audit");
-    RenderCounters audit;
-    sort_groups(ctx.frame.group_bins, ctx.frame.masks, ctx.splats, config_.threads, audit,
-                SortAlgo::kAuto, &ctx.sort);
-    ctx.verify_image.resize(camera.width(), camera.height());
-    rasterize_grouped(ctx.frame, ctx.splats, ctx.verify_image, config_.threads, audit,
-                      &ctx.raster);
-    ctx.quality = image_quality(ctx.verify_image, ctx.image);
-  }
+const FrameContext& Renderer::render_reference(const GaussianCloud& cloud, const Camera& camera,
+                                               FrameContext& ctx) const {
+  return reference_frame(config_, cloud, camera, ctx);
 }
 
 BatchRenderResult render_batch(const GaussianCloud& cloud, std::span<const Camera> cameras,
@@ -220,31 +233,24 @@ BatchRenderResult render_batch(const GaussianCloud& cloud, std::span<const Camer
   std::size_t workers = options.view_threads == 0
                             ? std::min<std::size_t>(n, worker_thread_count())
                             : std::min<std::size_t>(n, options.view_threads);
-  if (workers <= 1) {
+  // One FrameContext per view worker; the shared cursor hands out frames
+  // dynamically so a heavy view does not stall the tail of the batch.
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
     FrameContext ctx;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
       renderer.render(cloud, cameras[i], ctx);
       result.images[i] = ctx.image;
       result.times[i] = ctx.times;
       result.counters[i] = ctx.counters;
     }
+  };
+  if (workers <= 1) {
+    drain();
   } else {
-    // One FrameContext per view worker; the shared cursor hands out frames
-    // dynamically so a heavy view does not stall the tail of the batch.
-    std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
     pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        FrameContext ctx;
-        for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-          renderer.render(cloud, cameras[i], ctx);
-          result.images[i] = ctx.image;
-          result.times[i] = ctx.times;
-          result.counters[i] = ctx.counters;
-        }
-      });
-    }
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(drain);
     for (std::thread& t : pool) t.join();
   }
   result.wall_ms = timer.lap_ms();

@@ -15,6 +15,7 @@
 // batch output is bit-identical to the sequential loop.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -31,9 +32,11 @@ namespace gstg {
 /// All per-frame state of one GS-TG render, reusable across frames. The
 /// stage products (splats, frame, image, counters, times) are valid after
 /// Renderer::render returns, and so are the tile lists and per-tile stats
-/// the raster leaves in `raster` (tile_offsets/tile_ids/tile_stats — those
-/// of the exact audit render under kVerify). The other scratch members are
-/// implementation buffers.
+/// the raster leaves in `raster` (tile_offsets/tile_ids/tile_stats). The
+/// other scratch members are implementation buffers.
+/// Every kVerify audit renders the frame's reference config (residency
+/// kFloat32, pipeline kExact, temporal kOff) into `reference`, then compares
+/// one product with it: the splats, the image or the group orders.
 struct FrameContext {
   // Stage products.
   std::vector<ProjectedSplat> splats;
@@ -41,10 +44,8 @@ struct FrameContext {
   Framebuffer image{1, 1};
   StageTimes times;
   RenderCounters counters;
-  /// PipelineMode::kVerify only: the exact reference image of the frame and
-  /// the PSNR/SSIM of the shipped sortless image against it
-  /// (quality.measured stays false under kExact / kSortless).
-  Framebuffer verify_image{1, 1};
+  /// PipelineMode::kVerify only: PSNR/SSIM of the shipped sortless image
+  /// against the reference image (quality.measured stays false otherwise).
   ImageQuality quality;
 
   // Reused stage scratch.
@@ -53,13 +54,11 @@ struct FrameContext {
   SortScratch sort;
   RasterScratch raster;
 
-  // Compressed-residency scratch (render(CompressedCloud) overload only).
-  // `decoded` holds the full float32 form under kFloat32/kVerify; the
-  // verify pair backs the up-front-decode reference run under kVerify.
+  // render(CompressedCloud) scratch; `decoded` is kFloat32's up-front form.
   DecodeScratch decode;
   GaussianCloud decoded;
-  std::vector<ProjectedSplat> verify_splats;
-  PreprocessScratch verify_preprocess;
+  /// The audit side context: allocated by the first audited frame, reused.
+  std::unique_ptr<FrameContext> reference;
 };
 
 /// A persistent renderer bound to one validated configuration. Stateless
@@ -92,10 +91,10 @@ class Renderer {
   ///    form of the whole cloud never exists;
   ///  - kFloat32: decodes the whole cloud into ctx.decoded first (the
   ///    reference execution of the same resident data);
-  ///  - kVerify: runs both preprocesses and throws ResidencyError unless
-  ///    the streamed splat stream is bit-identical to the up-front one
-  ///    (downstream stages are deterministic in the splat stream, so splat
-  ///    equality is image equality).
+  ///  - kVerify: kCompressed, then throws ResidencyError unless the splat
+  ///    stream is bit-identical to the reference (kFloat32) frame's — splat
+  ///    equality is image equality. The audit runs after the frame, so its
+  ///    preprocess is in no StageTimes field.
   /// Every mode produces the image render(cloud.decode(), camera, ctx)
   /// would — bit-identical across modes, threads and SIMD backends.
   void render(const CompressedCloud& cloud, const Camera& camera, FrameContext& ctx) const;
@@ -105,17 +104,21 @@ class Renderer {
   /// runs preprocess, grid set-up, group identification and bitmask
   /// generation. The caller orders ctx.frame — order_groups(), or its own
   /// order — under the exact pipeline only: kSortless/kVerify blend the raw
-  /// bin order. end_frame charges whatever ran in between to sort_ms and
-  /// runs the raster stage: exact, or sortless plus (kVerify) the quality
-  /// audit into ctx.verify_image / ctx.quality. `timer` carries the stage
-  /// laps from begin_frame to end_frame.
+  /// bin order. end_frame charges whatever ran in between to sort_ms, runs
+  /// the raster stage and (kVerify) the pipeline audit into ctx.quality.
+  /// `timer` carries the stage laps from begin_frame to end_frame.
   void begin_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx,
                    Timer& timer) const;
-  void end_frame(const Camera& camera, FrameContext& ctx, Timer& timer) const;
+  void end_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx,
+                 Timer& timer) const;
 
   /// The plain ordering step: depth-sorts every group list of ctx.frame
   /// with its masks (core/grouping.h's sort_groups).
   void order_groups(FrameContext& ctx) const;
+
+  /// Renders config()'s reference frame into ctx.reference and returns it.
+  const FrameContext& render_reference(const GaussianCloud& cloud, const Camera& camera,
+                                       FrameContext& ctx) const;
 
  private:
   GsTgConfig config_;

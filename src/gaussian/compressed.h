@@ -62,7 +62,7 @@ class CompressedCloud {
   /// this cloud's SH degree if it differs. Requires lo <= hi <= size().
   void decode_range(std::size_t lo, std::size_t hi, GaussianCloud& out) const;
 
-  /// Decodes the whole cloud (the up-front form kFloat32/kVerify render).
+  /// Decodes the whole cloud (the up-front form kFloat32 renders).
   [[nodiscard]] GaussianCloud decode() const;
 
   /// Resident payload bytes of this form: 2 bytes per stored scalar.

@@ -31,7 +31,7 @@ struct TemporalStats {
                                      ///< before churn is knowable and are not counted)
   std::size_t pairs_reused = 0;      ///< entries that rode a cached order (no sort)
   std::size_t pairs_sorted = 0;      ///< entries that went through a sort
-  std::size_t verify_mismatches = 0; ///< kVerify: reused orders that failed the audit
+  std::size_t verify_mismatches = 0; ///< kVerify: groups whose order failed the audit
 
   /// Share of non-trivial groups whose cached order survived (verbatim or
   /// patched) instead of being fully re-sorted.

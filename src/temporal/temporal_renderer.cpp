@@ -45,15 +45,20 @@ void TemporalRenderer::render(const GaussianCloud& cloud, const Camera& camera,
   renderer_.begin_frame(cloud, camera, ctx, timer);
 
   // Group ordering: reuse the cached cross-frame order where provably
-  // valid, sort the rest; then snapshot the (now sorted) lists for the next
-  // frame. The sortless pipelines bypass the cache cleanly: nothing sorts,
-  // so there is no order to snapshot, reuse, or audit — the cache is never
-  // touched and every TemporalStats field stays zero (frames excepted).
+  // valid, sort the rest, audit it (kVerify); then snapshot the shipped
+  // lists for the next frame. The sortless pipelines bypass the cache
+  // cleanly: nothing sorts, so there is no order to snapshot, reuse, or
+  // audit — the cache is never touched and every TemporalStats field stays
+  // zero (frames excepted).
   last_ = {};
   if (config().pipeline == PipelineMode::kExact) {
     {
       GSTG_SPAN("temporal_sort");
       temporal_sort(ctx.splats, ctx);
+    }
+    if (config().temporal == TemporalMode::kVerify) {
+      GSTG_SPAN("audit");
+      audit_order(cloud, camera, ctx);
     }
     if (config().temporal != TemporalMode::kOff) {
       GSTG_SPAN("snapshot_cache");
@@ -63,7 +68,29 @@ void TemporalRenderer::render(const GaussianCloud& cloud, const Camera& camera,
   last_.frames = 1;
   total_.merge(last_);
 
-  renderer_.end_frame(camera, ctx, timer);
+  renderer_.end_frame(cloud, camera, ctx, timer);
+}
+
+void TemporalRenderer::audit_order(const GaussianCloud& cloud, const Camera& camera,
+                                   FrameContext& ctx) {
+  const FrameContext& reference = renderer_.render_reference(cloud, camera, ctx);
+  const GroupedFrame& want = reference.frame;
+  const std::vector<std::uint32_t>& offsets = want.group_bins.offsets;
+  for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
+    for (std::uint32_t e = offsets[g]; e < offsets[g + 1]; ++e) {
+      if (want.group_bins.splat_ids[e] != ctx.frame.group_bins.splat_ids[e] ||
+          want.masks[e] != ctx.frame.masks[e]) {
+        ++last_.verify_mismatches;
+        break;
+      }
+    }
+  }
+  // Correctness wins: ship the reference order, and its sort work so the
+  // counters match a plain per-frame sort bit for bit.
+  ctx.frame.group_bins = want.group_bins;
+  ctx.frame.masks = want.masks;
+  ctx.counters.sort_pairs = reference.counters.sort_pairs;
+  ctx.counters.sort_comparison_volume = reference.counters.sort_comparison_volume;
 }
 
 void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, FrameContext& ctx) {
@@ -102,7 +129,6 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
   for (const ProjectedSplat& splat : splats) max_index = std::max(max_index, splat.index);
   const int key_bits = depth_index_key_bits(max_index);
   const int index_bits = key_bits - 32;
-  const bool verify = config().temporal == TemporalMode::kVerify;
 
   const std::size_t workers = planned_worker_count(groups, config().threads);
   prepare_scratch(scratch_, workers, cloud_size);
@@ -201,29 +227,9 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
         ws.joiner_masks[j] = masks[e];
         ++j;
       }
-      if (verify) {
-        // The verify full sort below carries the counter accounting, so the
-        // joiner sort goes through the throwaway scratch — kVerify's
-        // sort_pairs/volume match a plain per-frame run exactly.
-        sort_group_entries(ws.joiner_ids.data(), ws.joiner_masks.data(), joiners, splats,
-                           key_bits, index_bits, ws.aux);
-      } else {
-        sort_group_entries(ws.joiner_ids.data(), ws.joiner_masks.data(), joiners, splats,
-                           key_bits, index_bits, ws.sort);
-        ws.sort.pairs += stayers;  // sort_pairs counts all entries, sorted or reused
-      }
-
-      if (verify && ws.verify_ids.size() < n) {
-        ws.verify_ids.resize(n);
-        ws.verify_masks.resize(n);
-      }
-      if (verify) {
-        // Audit snapshot of the unsorted entries, taken before the merge
-        // overwrites them.
-        std::copy(bins.splat_ids.begin() + begin, bins.splat_ids.begin() + end,
-                  ws.verify_ids.begin());
-        std::copy(masks.begin() + begin, masks.begin() + end, ws.verify_masks.begin());
-      }
+      sort_group_entries(ws.joiner_ids.data(), ws.joiner_masks.data(), joiners, splats,
+                         key_bits, index_bits, ws.sort);
+      ws.sort.pairs += stayers;  // sort_pairs counts all entries, sorted or reused
 
       // Two-way merge by key into the group's range. Keys are unique, so
       // this is THE sorted order — bit-identical to a full sort. The
@@ -251,21 +257,6 @@ void TemporalRenderer::temporal_sort(std::span<const ProjectedSplat> splats, Fra
             jkey = pack_depth_index_key(splats[ws.joiner_ids[ji]].depth,
                                         splats[ws.joiner_ids[ji]].index);
           }
-        }
-      }
-
-      if (verify) {
-        sort_group_entries(ws.verify_ids.data(), ws.verify_masks.data(), n, splats,
-                           key_bits, index_bits, ws.sort);
-        const bool identical = std::equal(ws.verify_ids.begin(), ws.verify_ids.begin() + n,
-                                          bins.splat_ids.begin() + begin) &&
-                               std::equal(ws.verify_masks.begin(), ws.verify_masks.begin() + n,
-                                          masks.begin() + begin);
-        if (!identical) {
-          ++ws.stats.verify_mismatches;
-          // Correctness wins: ship the freshly sorted order.
-          std::copy_n(ws.verify_ids.begin(), n, bins.splat_ids.begin() + begin);
-          std::copy_n(ws.verify_masks.begin(), n, masks.begin() + begin);
         }
       }
 

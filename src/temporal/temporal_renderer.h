@@ -19,10 +19,11 @@
 //   inversions under the new view) does the whole group fall back to the
 //   full sort.
 //
-// TemporalMode::kVerify audits that argument at runtime: every reused order
-// is re-sorted and compared bit-for-bit (mismatches are counted and the
-// sorted result wins). kOff degenerates to Renderer::render. Every stage
-// other than the ordering is Renderer::begin_frame / end_frame itself.
+// TemporalMode::kVerify audits that argument by the audit rule of
+// core/renderer.h: each group's order is compared with the reference (kOff)
+// frame's before the snapshot (so inside sort_ms); mismatches are counted and
+// the reference order ships. kOff degenerates to Renderer::render. Every
+// stage other than the ordering is Renderer::begin_frame / end_frame itself.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +54,6 @@ struct GroupSortCache {
 struct TemporalScratch {
   struct Worker {
     SortWorkerScratch sort;
-    SortWorkerScratch aux;  ///< kVerify joiner sorts (accounting discarded)
     std::vector<std::uint32_t> stamp;     ///< per cloud index: epoch of last marking
     std::vector<std::uint32_t> entry_of;  ///< per cloud index: entry position when stamped
     std::uint32_t epoch = 0;
@@ -62,8 +62,6 @@ struct TemporalScratch {
     std::vector<std::uint64_t> stayer_keys;
     std::vector<std::uint32_t> joiner_ids;  ///< staged joiners, sorted before the merge
     std::vector<TileMask> joiner_masks;
-    std::vector<std::uint32_t> verify_ids;  ///< kVerify: independent re-sort input
-    std::vector<TileMask> verify_masks;
     TemporalStats stats;
   };
   std::vector<Worker> workers;
@@ -77,8 +75,8 @@ struct TemporalScratch {
 /// Every temporal mode is pixel-exact: output images and all RenderCounters
 /// except sort_comparison_volume match render_gstg on the same frame
 /// exactly (reused groups perform no sort, so kReuse reports less sorting
-/// work — that reduction is the point; kVerify re-sorts everything and
-/// therefore matches render_gstg's counters bit-for-bit).
+/// work — that reduction is the point; kVerify ships the reference frame's
+/// sort counters and therefore matches render_gstg's bit-for-bit).
 ///
 /// Under a non-exact GsTgConfig::pipeline (kSortless / kVerify) nothing
 /// sorts, so the cross-frame cache is bypassed cleanly: it is never
@@ -110,6 +108,7 @@ class TemporalRenderer {
 
  private:
   void temporal_sort(std::span<const ProjectedSplat> splats, FrameContext& ctx);
+  void audit_order(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx);
   void snapshot_cache(const GroupedFrame& frame, std::span<const ProjectedSplat> splats,
                       std::size_t cloud_size);
 

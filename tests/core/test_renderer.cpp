@@ -99,7 +99,8 @@ TEST(Renderer, MatchesRenderGstg) {
 TEST(Renderer, ContextReuseIsBitIdentical) {
   const GaussianCloud cloud = make_random_cloud(800, 7);
   const Camera camera = make_camera(192, 128);
-  for (const PipelineMode pipeline : {PipelineMode::kExact, PipelineMode::kSortless}) {
+  for (const PipelineMode pipeline :
+       {PipelineMode::kExact, PipelineMode::kSortless, PipelineMode::kVerify}) {
     GsTgConfig config;
     config.threads = 2;
     config.pipeline = pipeline;

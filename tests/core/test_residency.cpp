@@ -12,6 +12,7 @@
 #include "common/runconfig.h"
 #include "core/renderer.h"
 #include "gaussian/compressed.h"
+#include "render/quality.h"
 #include "render/simd_kernels.h"
 #include "scene/scene.h"
 #include "test_helpers.h"
@@ -85,7 +86,7 @@ TEST(Residency, StreamedDecodeMatchesUpFrontDecodeOnBenchScenes) {
 }
 
 TEST(Residency, KVerifyPassesOnAllBenchScenes) {
-  // kVerify runs the streamed and up-front preprocesses and throws
+  // kVerify streams, renders the up-front-decode reference frame and throws
   // ResidencyError on any splat-stream divergence; it must pass — and
   // produce the same image — on every bench scene and thread count.
   for (const SceneInfo& info : algorithm_scenes()) {
@@ -106,6 +107,32 @@ TEST(Residency, KVerifyPassesOnAllBenchScenes) {
           << info.name << " threads=" << threads;
     }
   }
+}
+
+TEST(Residency, OneReferenceFrameServesResidencyAndPipelineAudits) {
+  // Residency kVerify and pipeline kVerify together audit against one
+  // reference frame: the streamed splats must match it, and the shipped
+  // sortless image is measured against its exact image.
+  const Scene scene = generate_scene("train");
+  const CompressedCloud compressed = CompressedCloud::encode(scene.cloud);
+
+  GsTgConfig sortless = config_with(ResidencyMode::kCompressed, 2);
+  sortless.pipeline = PipelineMode::kSortless;
+  FrameContext shipped;
+  Renderer(sortless).render(compressed, scene.camera, shipped);
+  FrameContext exact;
+  Renderer(config_with(ResidencyMode::kCompressed, 2)).render(compressed, scene.camera, exact);
+
+  GsTgConfig config = config_with(ResidencyMode::kVerify, 2);
+  config.pipeline = PipelineMode::kVerify;
+  FrameContext verified;
+  ASSERT_NO_THROW(Renderer(config).render(compressed, scene.camera, verified));
+  EXPECT_TRUE(images_identical(shipped.image, verified.image));
+  EXPECT_TRUE(counters_equal(shipped.counters, verified.counters));
+  ASSERT_TRUE(verified.quality.measured);
+  const ImageQuality expected = image_quality(exact.image, verified.image);
+  EXPECT_EQ(verified.quality.psnr, expected.psnr);
+  EXPECT_EQ(verified.quality.ssim, expected.ssim);
 }
 
 TEST(Residency, StreamedRenderDeterministicAcrossThreadsAndBackends) {

@@ -162,8 +162,8 @@ TEST(Sortless, VerifyShipsSortlessImageAndMeasuresQuality) {
   verify_config.pipeline = PipelineMode::kVerify;
   const RenderResult verify = render_gstg(cloud, camera, verify_config);
 
-  // kVerify ships the sortless image and counters; the exact reference and
-  // audit work stay out of the shipped record.
+  // kVerify ships the sortless image and counters; the exact reference
+  // frame and its work stay out of the shipped record.
   EXPECT_TRUE(images_identical(sortless.image, verify.image));
   EXPECT_TRUE(counters_equal(sortless.counters, verify.counters));
 

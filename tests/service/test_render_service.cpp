@@ -438,8 +438,8 @@ TEST(RenderService, ModeKnobsResolveAtConstruction) {
     ASSERT_TRUE(response.ok()) << response.error;
     EXPECT_EQ(max_abs_diff(oneshot.image, response.image), 0.0f) << "frame " << frame;
     if (frame == 0) continue;
-    // kVerify re-sorts every reused group, so its sort work matches a full
-    // per-frame sort; kReuse would report less.
+    // kVerify ships the reference frame's sort counters, so its sort work
+    // matches a full per-frame sort; kReuse would report less.
     EXPECT_GT(response.temporal.pairs_reused, 0u) << "frame " << frame;
     EXPECT_DOUBLE_EQ(response.counters.sort_comparison_volume,
                      oneshot.counters.sort_comparison_volume)

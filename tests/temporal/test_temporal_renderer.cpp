@@ -92,10 +92,10 @@ TEST(TemporalRenderer, StaticCameraReusesEveryGroup) {
 
 TEST(TemporalRenderer, VerifyModeProvesReuseOnFlythroughScenes) {
   // The lossless-invariant acceptance check: along the flythrough and orbit
-  // paths of the algorithm scenes, every reused group order must re-sort to
-  // the bit-identical list, and frames must match the one-shot renderer
-  // exactly (images AND counters — kVerify sorts everything, so even
-  // sort_comparison_volume agrees).
+  // paths of the algorithm scenes, every reused group order must equal the
+  // reference frame's plain sort, and frames must match the one-shot
+  // renderer exactly (images AND counters — kVerify ships the reference
+  // frame's sort counters, so even sort_comparison_volume agrees).
   for (const char* name : {"train", "playroom"}) {
     const Scene scene = generate_scene(name, RunScale{8, 64});
     for (const CameraPath& path : {orbit_path(scene, 0.05f, 4), flythrough_path(scene)}) {
