@@ -9,6 +9,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -110,6 +111,19 @@ double best_ms_of(int repeat, const Fn& fn) {
     Timer timer;
     fn();
     best = std::min(best, timer.lap_ms());
+  }
+  return best;
+}
+
+/// Best-of-N render: of `repeat` runs (at least one), the result whose
+/// StageTimes total is least, so a report carries the least-noisy timing
+/// sample together with that run's image and counters.
+template <typename RenderFn>
+auto best_of(int repeat, const RenderFn& render) {
+  auto best = render();
+  for (int i = 1; i < repeat; ++i) {
+    auto r = render();
+    if (r.times.total_ms() < best.times.total_ms()) best = std::move(r);
   }
   return best;
 }

@@ -5,8 +5,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <stdexcept>
 #include <string>
+
+#include "common/runconfig.h"
 
 namespace gstg::benchutil {
 
@@ -40,6 +43,11 @@ class JsonWriter {
       std::fputs("null", file_);
     }
   }
+  /// A number already formatted (e.g. at a table's printed precision).
+  void number(const std::string& key, const std::string& token) {
+    this->key(key);
+    std::fputs(token.c_str(), file_);
+  }
   void value(const std::string& key, std::size_t v) {
     this->key(key);
     std::fprintf(file_, "%zu", v);
@@ -63,6 +71,10 @@ class JsonWriter {
   static std::string escape(const std::string& s) {
     std::string out;
     for (const char c : s) {
+      if (c == '\n') {
+        out += "\\n";
+        continue;
+      }
       if (c == '"' || c == '\\') out.push_back('\\');
       out.push_back(c);
     }
@@ -88,5 +100,20 @@ class JsonWriter {
   bool first_ = true;
   int depth_ = 0;
 };
+
+/// The header of a BENCH_*.json record: bench kind, UTC timestamp and the
+/// GSTG_SCALE divisors the run used.
+inline void write_header(JsonWriter& json, const char* kind) {
+  const RunScale scale = run_scale_from_env();
+  json.value("bench", kind);
+  const std::time_t now = std::time(nullptr);
+  char stamp[32];
+  std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", std::gmtime(&now));
+  json.value("timestamp_utc", stamp);
+  json.open_object("scale");
+  json.value("resolution_divisor", scale.resolution_divisor);
+  json.value("gaussian_divisor", scale.gaussian_divisor);
+  json.close_object();
+}
 
 }  // namespace gstg::benchutil

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <ctime>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,20 +36,9 @@ namespace {
 using namespace gstg;
 using benchutil::JsonWriter;
 using benchutil::best_ms_of;
+using benchutil::best_of;
 using benchutil::cached_scene;
-
-void write_header(JsonWriter& json, const char* kind) {
-  const RunScale scale = run_scale_from_env();
-  json.value("bench", kind);
-  const std::time_t now = std::time(nullptr);
-  char stamp[32];
-  std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", std::gmtime(&now));
-  json.value("timestamp_utc", stamp);
-  json.open_object("scale");
-  json.value("resolution_divisor", scale.resolution_divisor);
-  json.value("gaussian_divisor", scale.gaussian_divisor);
-  json.close_object();
-}
+using benchutil::write_header;
 
 void write_counters(JsonWriter& json, const RenderCounters& c) {
   json.value("visible_gaussians", c.visible_gaussians);
@@ -69,17 +57,6 @@ void write_times(JsonWriter& json, const StageTimes& t) {
   json.value("sort_ms", t.sort_ms);
   json.value("raster_ms", t.raster_ms);
   json.value("total_ms", t.total_ms());
-}
-
-/// Best-of-N render so the JSON carries the least-noisy timing sample.
-template <typename RenderFn>
-RenderResult best_of(int repeat, const RenderFn& render) {
-  RenderResult best = render();
-  for (int i = 1; i < repeat; ++i) {
-    RenderResult r = render();
-    if (r.times.total_ms() < best.times.total_ms()) best = std::move(r);
-  }
-  return best;
 }
 
 bool run_software(const std::vector<std::string>& scenes, int repeat, std::size_t threads,
@@ -180,7 +157,8 @@ bool run_software(const std::vector<std::string>& scenes, int repeat, std::size_
 
     // Batched rendering over an orbit: bit-identity against the sequential
     // loop is part of the correctness gate; the wall-clock ratio is the
-    // view-level-parallelism payoff.
+    // view-level-parallelism payoff, and reused_ms (one persistent Renderer
+    // and FrameContext over the same views) isolates allocation reuse.
     {
       const int views = 4;
       const auto cameras = orbit_cameras(scene, views);
@@ -197,6 +175,11 @@ bool run_software(const std::vector<std::string>& scenes, int repeat, std::size_
         sequential_ms = timer.lap_ms();
       }
       const BatchRenderResult batch = render_batch(scene.cloud, cameras, batch_config);
+      const Renderer reused(batch_config);
+      FrameContext reused_ctx;
+      const double reused_ms = best_ms_of(repeat, [&] {
+        for (const Camera& camera : cameras) reused.render(scene.cloud, camera, reused_ctx);
+      });
       bool identical = true;
       for (std::size_t v = 0; v < cameras.size(); ++v) {
         if (max_abs_diff(sequential[v].image, batch.images[v]) != 0.0f) identical = false;
@@ -210,6 +193,7 @@ bool run_software(const std::vector<std::string>& scenes, int repeat, std::size_
       json.value("views", views);
       json.value("sequential_ms", sequential_ms);
       json.value("batch_wall_ms", batch.wall_ms);
+      json.value("reused_ms", reused_ms);
       json.value("speedup", batch.wall_ms > 0.0 ? sequential_ms / batch.wall_ms : 0.0);
       json.value_bool("identical_to_sequential", identical);
       json.close_object();

@@ -1,11 +1,12 @@
-// Shared runner for the hardware-evaluation figures (14/15): builds the
-// three designs' workloads per scene and simulates each on the GS-TG
-// hardware configuration. The models are fp16-quantised first, as in the
-// paper's methodology (section VI-A).
+// Shared runner for the hardware evaluation (Figs. 14/15, the ablations and
+// run_all's BENCH_hardware.json): builds the three designs' workloads per
+// scene and simulates each on the GS-TG hardware configuration. The models
+// are fp16-quantised first, as in the paper's methodology (section VI-A).
 #pragma once
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -19,6 +20,7 @@ struct SceneSims {
   SimReport baseline;
   SimReport gscore;
   SimReport gstg;
+  FrameWorkload gstg_workload;  ///< GS-TG's input, for what-if simulations
 };
 
 /// Runs baseline / GSCore / GS-TG on one scene and returns the reports.
@@ -40,7 +42,8 @@ inline SceneSims simulate_scene(const std::string& scene_name) {
 
   SceneSims sims{simulate_frame(wb, baseline_pipeline_model(), hw),
                  simulate_frame(wc, gscore_pipeline_model(), hw),
-                 simulate_frame(wg, gstg_pipeline_model(), hw)};
+                 simulate_frame(wg, gstg_pipeline_model(), hw), {}};
+  sims.gstg_workload = std::move(wg);
   return sims;
 }
 

@@ -1,7 +1,7 @@
 # Defines gstg::warnings, an INTERFACE target carrying the project-wide
 # warning flags. Linked PRIVATE by every gstg target so the flags never leak
-# into fetched third-party builds (googletest/benchmark compile with their
-# own settings).
+# into fetched third-party builds (googletest compiles with its own
+# settings).
 add_library(gstg_warnings INTERFACE)
 add_library(gstg::warnings ALIAS gstg_warnings)
 

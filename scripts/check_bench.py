@@ -66,6 +66,16 @@ What is compared, and why:
     The raw plain/traced wall-clocks and the overhead ratio itself are
     compared only under --check-times.
 
+  * Paper-report records (--paper/--paper-baseline pair of BENCH_paper.json
+    files, written by bench_paper): one list of rows per figure or table of
+    the paper's evaluation, matched by their "case" field; a row the
+    baseline lacks, or a missing figure, fails. Simulator outputs (Figs.
+    14/15, Tables II/III, the ablation sweeps) must match exactly; the
+    counter-derived values (Table I, Figs. 5/7, the fp16 and footprint
+    studies) stay within tolerance; the render times and the speedups
+    derived from them (Figs. 3, 11, 12, 13) are compared only under
+    --check-times. The paper-reference footers are not compared.
+
   * Accelerator-model records (--hardware/--hardware-baseline pair of
     BENCH_hardware.json files): the cycle, DRAM and energy model is
     deterministic, so every field of every scene (cycles, fps, bottleneck,
@@ -94,6 +104,8 @@ Usage:
                  [--quality-baseline=<baseline BENCH_quality.json>]
                  [--telemetry=<fresh BENCH_telemetry.json>]
                  [--telemetry-baseline=<baseline BENCH_telemetry.json>]
+                 [--paper=<fresh BENCH_paper.json>]
+                 [--paper-baseline=<baseline BENCH_paper.json>]
                  [--hardware=<fresh BENCH_hardware.json>]
                  [--hardware-baseline=<baseline BENCH_hardware.json>]
 
@@ -105,8 +117,8 @@ bench/README.md ("Perf-regression gate").
 import json
 import sys
 
-EVERY_FIELD = "*"  # gated: every field of the baseline object
-TIME_FIELDS = "_ms"  # timed: every *_ms field both objects carry
+EVERY_FIELD = "*"  # every field of the baseline object but its list key
+TIME_FIELDS = "_ms"  # every *_ms field both objects carry
 MISSING_FIELD = "missing field '{}' in fresh output"
 
 # A run_all stage object: work counters within tolerance, times under --check-times.
@@ -116,11 +128,19 @@ RUN_ALL_STAGE = {
     "timed": TIME_FIELDS,
 }
 
+
+def report_rows(**rules):
+    """A bench_paper figure or table: its rows matched by "case" under `rules`
+    (a row the baseline lacks fails); its "reference" footer is not compared."""
+    return {"lists": {"rows": {"key": "case", "extra": "row not in baseline", **rules}}}
+
+
 # One entry per bench JSON, applied by walk(). The keys of an entry, all optional:
 #   scale     the scale objects must match; a mismatch skips the rest
 #   gated     fields within tolerance of the baseline ("missing": the message
-#             for a gated field the fresh record lacks)
-#   timed     fields within tolerance, under --check-times only
+#             for a gated field the fresh record lacks); a list, EVERY_FIELD
+#             or TIME_FIELDS
+#   timed     fields within tolerance, under --check-times only (as gated)
 #   exact     every field but these (and the lists) must equal the baseline's
 #   flags     {field: message}: the fresh value must be true
 #   checks    [(message, predicate(new, old))]: False fails, None does not apply
@@ -149,7 +169,7 @@ BENCHES = {
             "baseline": RUN_ALL_STAGE,
             "gstg": RUN_ALL_STAGE,
             "ratios": {"gated": ["sort_pair_reduction"]},
-            "batch": {"flags": {
+            "batch": {"timed": TIME_FIELDS, "flags": {
                 "identical_to_sequential": "batch output diverged from sequential rendering"}},
             "residency": {"flags": {"identical_to_upfront":
                 "streamed compressed-residency render diverged from up-front decode"}},
@@ -260,6 +280,22 @@ BENCHES = {
         "timed": ["plain_sort_raster_ms", "traced_sort_raster_ms", "overhead_ratio"],
         "sections": {"stage_spans": {"gated": EVERY_FIELD, "missing": "stage '{}' missing"}},
     },
+    "paper": {"scale": True, "sections": {
+        "table2": report_rows(exact=()),
+        "table1": report_rows(gated=EVERY_FIELD),
+        "fig3": report_rows(timed=TIME_FIELDS),
+        "fig5": report_rows(gated=EVERY_FIELD),
+        "fig7": report_rows(gated=EVERY_FIELD),
+        "fig11": report_rows(timed=EVERY_FIELD),
+        "fig12": report_rows(timed=EVERY_FIELD),
+        "fig13": report_rows(timed=TIME_FIELDS),
+        "fig14": report_rows(exact=()),
+        "fig15": report_rows(exact=()),
+        "table3": report_rows(exact=()),
+        "ablation": report_rows(exact=()),
+        "fp16": report_rows(gated=EVERY_FIELD),
+        "rho": report_rows(gated=EVERY_FIELD),
+    }},
     "hardware": {
         "exact": ("timestamp_utc", "peak_rss_bytes"),
         "lists": {"scenes": {"key": "scene", "exact": (), "extra": "scene not in baseline"}},
@@ -336,6 +372,16 @@ def join(where, name):
     return f"{where}.{name}" if where else str(name)
 
 
+def selected(spec, rule, fresh, old):
+    """The fields a gated/timed rule names, its EVERY_FIELD/TIME_FIELDS expanded."""
+    names = spec.get(rule, [])
+    if names == EVERY_FIELD:
+        return [k for k in old if k != spec.get("key")]
+    if names == TIME_FIELDS:
+        return [k for k in old if k.endswith(TIME_FIELDS) and k in fresh]
+    return names
+
+
 def walk(gate, where, spec, new, old, check_times):
     """Applies one table entry to a fresh record and its baseline record.
 
@@ -349,14 +395,10 @@ def walk(gate, where, spec, new, old, check_times):
             gate.require(where, False, f"scale mismatch (fresh {fresh.get('scale')} vs "
                                        f"baseline {old.get('scale')})")
             return
-        gated = spec.get("gated", [])
-        compare_section(gate, where, fresh, old, list(old) if gated == EVERY_FIELD else gated,
+        compare_section(gate, where, fresh, old, selected(spec, "gated", fresh, old),
                         spec.get("missing", MISSING_FIELD))
         if check_times:
-            timed = spec.get("timed", [])
-            if timed == TIME_FIELDS:
-                timed = [k for k in old if k.endswith(TIME_FIELDS) and k in fresh]
-            compare_section(gate, where, fresh, old, timed)
+            compare_section(gate, where, fresh, old, selected(spec, "timed", fresh, old))
         if "exact" in spec:
             skip = set(spec["exact"]) | set(spec.get("lists", {}))
             require_equal(gate, where, {k: v for k, v in fresh.items() if k not in skip},

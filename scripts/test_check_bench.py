@@ -7,7 +7,8 @@ and asserts on the exit code and the violation text. Covers: the identity
 run, the +/-15% counter tolerance (both sides), --tolerance, hard
 correctness flags (lossless, batch/simd/residency identity, temporal /
 dataset / quality / telemetry / service gates), the exact
-accelerator-model gate (hardware), scale mismatch,
+accelerator-model gate (hardware), the paper report's exact / gated /
+timed figures (paper), scale mismatch,
 missing scenes/fields, records without their key field, wall-clock
 skipping vs --check-times, and CLI
 contract errors (unpaired section flags, unknown options).
@@ -187,6 +188,24 @@ def hardware_doc():
     }
     return {"bench": "hardware_sim", "timestamp_utc": "2026-01-01T00:00:00Z",
             "scale": dict(SCALE), "scenes": [scene], "peak_rss_bytes": 1000}
+
+
+def paper_doc():
+    """A BENCH_paper.json with one figure per kind of rule."""
+    def figure(*rows):
+        return {"reference": "paper reference: ...", "rows": list(rows)}
+
+    return {
+        "bench": "paper", "timestamp_utc": "2026-01-01T00:00:00Z", "scale": dict(SCALE),
+        "fig3": figure({"case": "AABB/train/8x8", "preprocess_ms": 1.5, "sort_ms": 1.2,
+                        "raster_ms": 9.8, "total_ms": 12.5}),
+        "fig5": figure({"case": "AABB/train", "tiles_per_gaussian_8x8": 7.68,
+                        "tiles_per_gaussian_64x64": 1.55, "ratio_8x8_64x64": 4.94}),
+        "fig11": figure({"case": "16+64", "speedup_train": 0.92}),
+        "fig14": figure({"case": "train", "gscore_speedup": 1.32, "gstg_speedup": 1.44,
+                         "gstg_total_cycles": 55275, "gstg_bottleneck": "sort"}),
+        "peak_rss_bytes": 1000,
+    }
 
 
 class CheckBenchTest(unittest.TestCase):
@@ -466,6 +485,49 @@ class CheckBenchTest(unittest.TestCase):
         fresh["scenes"] = []
         self.assert_fails(self.section_gate("hardware", fresh, hardware_doc()),
                           "hardware.orbit: scene missing")
+
+    def test_paper_identical_passes(self):
+        fresh = paper_doc()
+        fresh["timestamp_utc"] = "2026-02-02T00:00:00Z"  # ignored
+        fresh["fig5"]["reference"] = "a reworded footer"  # not gated
+        result = self.section_gate("paper", fresh, paper_doc())
+        self.assertEqual(result.returncode, 0, result.stdout)
+
+    def test_paper_simulated_cycles_are_exact(self):
+        fresh = paper_doc()
+        fresh["fig14"]["rows"][0]["gstg_total_cycles"] += 1
+        self.assert_fails(self.section_gate("paper", fresh, paper_doc()),
+                          "paper.fig14.train.gstg_total_cycles: 55276 vs baseline 55275")
+
+    def test_paper_counter_drift_fails(self):
+        fresh = paper_doc()
+        fresh["fig5"]["rows"][0]["tiles_per_gaussian_8x8"] *= 1.2
+        self.assert_fails(self.section_gate("paper", fresh, paper_doc()),
+                          "paper.fig5.AABB/train.tiles_per_gaussian_8x8")
+
+    def test_paper_missing_figure_fails(self):
+        fresh = paper_doc()
+        del fresh["fig14"]
+        self.assert_fails(self.section_gate("paper", fresh, paper_doc()),
+                          "paper.fig14.train: case missing from fresh output")
+
+    def test_paper_row_not_in_baseline_fails(self):
+        fresh = paper_doc()
+        fresh["fig5"]["rows"].append(dict(fresh["fig5"]["rows"][0], case="AABB/truck"))
+        self.assert_fails(self.section_gate("paper", fresh, paper_doc()),
+                          "paper.fig5.AABB/truck: row not in baseline")
+
+    def test_paper_scale_mismatch_fails(self):
+        self.assert_section_scale_mismatch_fails("paper", paper_doc)
+
+    def test_paper_times_only_under_check_times(self):
+        fresh = paper_doc()
+        fresh["fig3"]["rows"][0]["total_ms"] *= 10
+        fresh["fig11"]["rows"][0]["speedup_train"] *= 10
+        self.assertEqual(self.section_gate("paper", fresh, paper_doc()).returncode, 0)
+        self.assert_fails(self.section_gate("paper", fresh, paper_doc(), "--check-times"),
+                          "paper.fig3.AABB/train/8x8.total_ms",
+                          "paper.fig11.16+64.speedup_train")
 
     # ---- one case per gate the cases above leave untripped ------------
 

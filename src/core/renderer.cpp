@@ -109,15 +109,26 @@ template <class Cloud>
 void render_frame(const GsTgConfig& config, const Cloud& cloud, const Camera& camera,
                   FrameContext& ctx);
 
-template <class Cloud>
-const FrameContext& reference_frame(GsTgConfig config, const Cloud& cloud, const Camera& camera,
-                                    FrameContext& ctx) {
+/// The config every kVerify audit compares with: float32 residency, the
+/// exact pipeline, no temporal reuse.
+GsTgConfig reference_config(GsTgConfig config) {
   config.residency = ResidencyMode::kFloat32;
   config.pipeline = PipelineMode::kExact;
   config.temporal = TemporalMode::kOff;
+  return config;
+}
+
+FrameContext& reference_context(FrameContext& ctx) {
   if (!ctx.reference) ctx.reference = std::make_unique<FrameContext>();
-  render_frame(config, cloud, camera, *ctx.reference);
   return *ctx.reference;
+}
+
+template <class Cloud>
+const FrameContext& reference_frame(const GsTgConfig& config, const Cloud& cloud,
+                                    const Camera& camera, FrameContext& ctx) {
+  FrameContext& reference = reference_context(ctx);
+  render_frame(reference_config(config), cloud, camera, reference);
+  return reference;
 }
 
 /// The residency audit: the streamed splat stream must equal the up-front
@@ -211,9 +222,14 @@ void Renderer::end_frame(const GaussianCloud& cloud, const Camera& camera, Frame
   end(config_, cloud, camera, ctx, timer);
 }
 
-const FrameContext& Renderer::render_reference(const GaussianCloud& cloud, const Camera& camera,
-                                               FrameContext& ctx) const {
-  return reference_frame(config_, cloud, camera, ctx);
+const FrameContext& Renderer::order_reference(const GaussianCloud& cloud, const Camera& camera,
+                                              FrameContext& ctx) const {
+  FrameContext& reference = reference_context(ctx);
+  const GsTgConfig config = reference_config(config_);
+  Timer timer;
+  begin(config, cloud, camera, reference, timer);
+  order(config, reference);
+  return reference;
 }
 
 BatchRenderResult render_batch(const GaussianCloud& cloud, std::span<const Camera> cameras,

@@ -34,9 +34,10 @@ namespace gstg {
 /// Renderer::render returns, and so are the tile lists and per-tile stats
 /// the raster leaves in `raster` (tile_offsets/tile_ids/tile_stats). The
 /// other scratch members are implementation buffers.
-/// Every kVerify audit renders the frame's reference config (residency
+/// Every kVerify audit runs the frame's reference config (residency
 /// kFloat32, pipeline kExact, temporal kOff) into `reference`, then compares
-/// one product with it: the splats, the image or the group orders.
+/// one product with it: the splats, the image or the group orders. The
+/// temporal audit stops the reference after its ordering step.
 struct FrameContext {
   // Stage products.
   std::vector<ProjectedSplat> splats;
@@ -116,9 +117,11 @@ class Renderer {
   /// with its masks (core/grouping.h's sort_groups).
   void order_groups(FrameContext& ctx) const;
 
-  /// Renders config()'s reference frame into ctx.reference and returns it.
-  const FrameContext& render_reference(const GaussianCloud& cloud, const Camera& camera,
-                                       FrameContext& ctx) const;
+  /// Runs config()'s reference frame into ctx.reference up to and including
+  /// its ordering step (begin_frame + order_groups) and returns it: the
+  /// group orders, masks and sort counters are set; the raster does not run.
+  const FrameContext& order_reference(const GaussianCloud& cloud, const Camera& camera,
+                                      FrameContext& ctx) const;
 
  private:
   GsTgConfig config_;

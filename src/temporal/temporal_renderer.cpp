@@ -73,7 +73,7 @@ void TemporalRenderer::render(const GaussianCloud& cloud, const Camera& camera,
 
 void TemporalRenderer::audit_order(const GaussianCloud& cloud, const Camera& camera,
                                    FrameContext& ctx) {
-  const FrameContext& reference = renderer_.render_reference(cloud, camera, ctx);
+  const FrameContext& reference = renderer_.order_reference(cloud, camera, ctx);
   const GroupedFrame& want = reference.frame;
   const std::vector<std::uint32_t>& offsets = want.group_bins.offsets;
   for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {

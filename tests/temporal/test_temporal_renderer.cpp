@@ -256,6 +256,26 @@ TEST(TemporalRenderer, OffModeMatchesThePlainRendererExactly) {
                    ctx.counters.sort_comparison_volume);
 }
 
+TEST(TemporalRenderer, VerifyAuditStopsTheReferenceAfterOrdering) {
+  // The order audit reads the reference's group orders, masks and sort
+  // counters only, so its reference frame never rasterizes.
+  const GaussianCloud cloud = make_random_cloud(700, 37);
+  const Camera camera = make_camera();
+  TemporalRenderer renderer(temporal_config(TemporalMode::kVerify));
+  FrameContext ctx;
+  for (int frame = 0; frame < 2; ++frame) {
+    renderer.render(cloud, camera, ctx);
+    ASSERT_NE(ctx.reference, nullptr);
+    EXPECT_GT(ctx.reference->counters.sort_pairs, 0u) << "frame " << frame;
+    EXPECT_EQ(ctx.reference->counters.blend_ops, 0u) << "frame " << frame;
+    EXPECT_EQ(ctx.reference->counters.alpha_computations, 0u) << "frame " << frame;
+  }
+  EXPECT_EQ(renderer.total().verify_mismatches, 0u);
+  const RenderResult reference = render_gstg(cloud, camera, temporal_config(TemporalMode::kOff));
+  EXPECT_TRUE(images_identical(reference.image, ctx.image));
+  EXPECT_TRUE(counters_equal(reference.counters, ctx.counters));
+}
+
 /// Images and counters of one frame through each library entry point,
 /// every one built from a default config.
 struct DefaultConfigFrames {
