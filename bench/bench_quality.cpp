@@ -27,7 +27,6 @@
 #include "common/cli.h"
 #include "common/runconfig.h"
 #include "common/table.h"
-#include "common/timer.h"
 #include "core/pipeline.h"
 #include "json_writer.h"
 #include "render/framebuffer.h"
@@ -40,23 +39,12 @@ using namespace gstg;
 using benchutil::JsonWriter;
 using benchutil::cached_scene;
 
-struct PipelineRun {
-  RenderResult result;
-  StageTimes best;  ///< per-stage minima across repeats
-};
-
-PipelineRun run_pipeline(const Scene& scene, GsTgConfig config, PipelineMode mode, int repeat) {
+/// The best-of-`repeat` render of `mode` (benchutil::best_of): the run with
+/// the least StageTimes total, with its image and counters.
+RenderResult run_pipeline(const Scene& scene, GsTgConfig config, PipelineMode mode, int repeat) {
   config.pipeline = mode;
-  PipelineRun r{render_gstg(scene.cloud, scene.camera, config), {}};
-  r.best.sort_ms = r.result.times.sort_ms;
-  r.best.raster_ms = r.result.times.raster_ms;
-  for (int i = 1; i < repeat; ++i) {
-    RenderResult result = render_gstg(scene.cloud, scene.camera, config);
-    r.best.sort_ms = std::min(r.best.sort_ms, result.times.sort_ms);
-    r.best.raster_ms = std::min(r.best.raster_ms, result.times.raster_ms);
-    r.result = std::move(result);
-  }
-  return r;
+  return benchutil::best_of(repeat,
+                            [&] { return render_gstg(scene.cloud, scene.camera, config); });
 }
 
 std::string format_db(double psnr) {
@@ -106,20 +94,20 @@ int main(int argc, char** argv) {
       std::printf("bench_quality: %s (%zu gaussians, %dx%d)\n", name.c_str(), scene.cloud.size(),
                   scene.render_width, scene.render_height);
 
-      const PipelineRun exact = run_pipeline(scene, config, PipelineMode::kExact, repeat);
-      const PipelineRun sortless = run_pipeline(scene, config, PipelineMode::kSortless, repeat);
-      const PipelineRun verify = run_pipeline(scene, config, PipelineMode::kVerify, 1);
+      const RenderResult exact = run_pipeline(scene, config, PipelineMode::kExact, repeat);
+      const RenderResult sortless = run_pipeline(scene, config, PipelineMode::kSortless, repeat);
+      const RenderResult verify = run_pipeline(scene, config, PipelineMode::kVerify, 1);
 
       // Quality gate: the sortless image against the committed floor, and
       // the structural claim that the sortless path never sorts.
-      const ImageQuality q = image_quality(exact.result.image, sortless.result.image);
+      const ImageQuality q = image_quality(exact.image, sortless.image);
       const QualityFloor floor = quality_floor(name);
-      const bool no_sort = sortless.result.counters.sort_pairs == 0 &&
-                           sortless.result.counters.sort_comparison_volume == 0.0;
+      const bool no_sort = sortless.counters.sort_pairs == 0 &&
+                           sortless.counters.sort_comparison_volume == 0.0;
       const bool scene_quality_ok = meets_floor(q, floor) && no_sort;
       if (!no_sort) {
         std::fprintf(stderr, "bench_quality: %s sortless run SORTED (%zu pairs)\n", name.c_str(),
-                     sortless.result.counters.sort_pairs);
+                     sortless.counters.sort_pairs);
       }
       if (!meets_floor(q, floor)) {
         std::fprintf(stderr,
@@ -131,13 +119,11 @@ int main(int argc, char** argv) {
       // counters) and its self-measured quality matches the audit here —
       // i.e. its internal exact reference matched our exact render.
       const bool scene_verify_ok =
-          max_abs_diff(verify.result.image, sortless.result.image) == 0.0f &&
-          verify.result.counters.sort_pairs == sortless.result.counters.sort_pairs &&
-          verify.result.counters.alpha_computations ==
-              sortless.result.counters.alpha_computations &&
-          verify.result.counters.blend_ops == sortless.result.counters.blend_ops &&
-          verify.result.quality.measured && verify.result.quality.psnr == q.psnr &&
-          verify.result.quality.ssim == q.ssim;
+          max_abs_diff(verify.image, sortless.image) == 0.0f &&
+          verify.counters.sort_pairs == sortless.counters.sort_pairs &&
+          verify.counters.alpha_computations == sortless.counters.alpha_computations &&
+          verify.counters.blend_ops == sortless.counters.blend_ops && verify.quality.measured &&
+          verify.quality.psnr == q.psnr && verify.quality.ssim == q.ssim;
       if (!scene_verify_ok) {
         std::fprintf(stderr, "bench_quality: %s kVerify DIVERGED from pure kSortless\n",
                      name.c_str());
@@ -148,14 +134,14 @@ int main(int argc, char** argv) {
       if (q.psnr < worst_psnr) {
         worst_psnr = q.psnr;
         worst_scene = name;
-        worst_exact = exact.result.image;
-        worst_sortless = sortless.result.image;
+        worst_exact = exact.image;
+        worst_sortless = sortless.image;
       }
 
       // The frontier: what the sortless tier saves vs what it costs.
-      const std::size_t pairs_avoided = exact.result.counters.sort_pairs;
-      const double sort_ms_removed = exact.best.sort_ms;
-      const double raster_ms_delta = sortless.best.raster_ms - exact.best.raster_ms;
+      const std::size_t pairs_avoided = exact.counters.sort_pairs;
+      const double sort_ms_removed = exact.times.sort_ms;
+      const double raster_ms_delta = sortless.times.raster_ms - exact.times.raster_ms;
 
       table.add_row({name, format_db(q.psnr), format_fixed(floor.min_psnr, 1),
                      format_fixed(q.ssim, 4), format_fixed(floor.min_ssim, 2),
@@ -166,19 +152,19 @@ int main(int argc, char** argv) {
       json.open_object();
       json.value("scene", name);
       json.value("gaussians", scene.cloud.size());
-      json.value("visible_gaussians", exact.result.counters.visible_gaussians);
+      json.value("visible_gaussians", exact.counters.visible_gaussians);
       json.value("psnr", q.psnr);
       json.value("ssim", q.ssim);
       json.value("floor_psnr", floor.min_psnr);
       json.value("floor_ssim", floor.min_ssim);
       json.value("sort_pairs_avoided", pairs_avoided);
-      json.value("sort_comparison_volume_avoided", exact.result.counters.sort_comparison_volume);
-      json.value("sortless_sort_pairs", sortless.result.counters.sort_pairs);
-      json.value("sortless_blend_ops", sortless.result.counters.blend_ops);
-      json.value("exact_blend_ops", exact.result.counters.blend_ops);
+      json.value("sort_comparison_volume_avoided", exact.counters.sort_comparison_volume);
+      json.value("sortless_sort_pairs", sortless.counters.sort_pairs);
+      json.value("sortless_blend_ops", sortless.counters.blend_ops);
+      json.value("exact_blend_ops", exact.counters.blend_ops);
       json.value("sort_ms_removed", sort_ms_removed);
-      json.value("raster_ms_exact", exact.best.raster_ms);
-      json.value("raster_ms_sortless", sortless.best.raster_ms);
+      json.value("raster_ms_exact", exact.times.raster_ms);
+      json.value("raster_ms_sortless", sortless.times.raster_ms);
       json.value("raster_ms_delta", raster_ms_delta);
       json.value_bool("quality_ok", scene_quality_ok);
       json.value_bool("verify_ok", scene_verify_ok);

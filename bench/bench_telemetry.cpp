@@ -38,9 +38,8 @@ using benchutil::cached_scene;
 
 constexpr double kOverheadLimit = 0.03;  // the acceptance bar: < 3% on sort+raster
 
-/// Sum of the per-frame best-of sort+raster across `frames` renders,
-/// minimised over `repeat` passes (per-stage minima, like the other bench
-/// drivers, so the JSON carries the least-noisy sample).
+/// Sum of sort+raster over `frames` renders, minimised over `repeat`
+/// passes: the least-noisy pass, the best-of rule of benchutil::best_of.
 double timed_pass(const Renderer& renderer, const GaussianCloud& cloud, const Camera& camera,
                   FrameContext& ctx, int frames, int repeat) {
   double best = 0.0;

@@ -23,7 +23,6 @@
 #include "common/timer.h"
 #include "core/pipeline.h"
 #include "core/renderer.h"
-#include "gaussian/compressed.h"
 #include "json_writer.h"
 #include "render/binning.h"
 #include "render/framebuffer.h"
@@ -114,46 +113,6 @@ bool run_software(const std::vector<std::string>& scenes, int repeat, std::size_
                static_cast<double>(baseline.counters.sort_pairs) /
                    static_cast<double>(gstg.counters.sort_pairs ? gstg.counters.sort_pairs : 1));
     json.close_object();
-
-    // Compressed residency A/B: the fp16 resident form halves the resident
-    // Gaussian bytes, and the streamed decode-on-touch render must stay
-    // bit-identical to the up-front decode (bench_dataset audits and gates
-    // this in depth); this is the per-scene summary line.
-    {
-      const CompressedCloud compressed = CompressedCloud::encode(scene.cloud);
-      GsTgConfig upfront_config;
-      upfront_config.threads = threads;
-      upfront_config.residency = ResidencyMode::kFloat32;
-      GsTgConfig streamed_config = upfront_config;
-      streamed_config.residency = ResidencyMode::kCompressed;
-      const Renderer upfront(upfront_config);
-      const Renderer streamed(streamed_config);
-      FrameContext upfront_ctx, streamed_ctx;
-      const double float32_ms = best_ms_of(repeat, [&] {
-        upfront.render(compressed, scene.camera, upfront_ctx);
-      });
-      const double compressed_ms = best_ms_of(repeat, [&] {
-        streamed.render(compressed, scene.camera, streamed_ctx);
-      });
-      const bool identical = max_abs_diff(upfront_ctx.image, streamed_ctx.image) == 0.0f;
-      if (!identical) {
-        lossless_ok = false;
-        std::fprintf(stderr, "run_all: RESIDENCY MISMATCH on %s (streamed != up-front)\n",
-                     name.c_str());
-      }
-      json.open_object("residency");
-      json.value("resident_bytes", compressed.resident_bytes());
-      json.value("float32_bytes", compressed.float32_bytes());
-      json.value("compression_ratio",
-                 compressed.resident_bytes() > 0
-                     ? static_cast<double>(compressed.float32_bytes()) /
-                           static_cast<double>(compressed.resident_bytes())
-                     : 0.0);
-      json.value("float32_render_ms", float32_ms);
-      json.value("compressed_render_ms", compressed_ms);
-      json.value_bool("identical_to_upfront", identical);
-      json.close_object();
-    }
 
     // Batched rendering over an orbit: bit-identity against the sequential
     // loop is part of the correctness gate; the wall-clock ratio is the

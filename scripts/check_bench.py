@@ -14,11 +14,12 @@ What is compared, and why:
   * Workload ratios (sort_pair_reduction) — the paper's headline
     reduction must not silently erode.
   * Correctness flags (lossless_max_abs_diff == 0,
-    batch.identical_to_sequential, residency.identical_to_upfront, every
-    simd backend's exact_identical_to_scalar) — these are hard failures
-    regardless of tolerance. The batch, residency and simd sections are
-    required from the baseline's side: a fresh output that stops emitting
-    one fails instead of skipping its gate.
+    batch.identical_to_sequential, every simd backend's
+    exact_identical_to_scalar) — these are hard failures regardless of
+    tolerance. The batch and simd sections are required from the
+    baseline's side: a fresh output that stops emitting one fails instead
+    of skipping its gate. (The streamed-residency A/B is bench_dataset's,
+    gated per scene by its verify_ok flag.)
 
   * Temporal reuse ratios (--temporal/--temporal-baseline pair of
     BENCH_temporal.json files): per scene and camera path, the reuse rate,
@@ -162,7 +163,6 @@ BENCHES = {
         # not silently skip its gate.
         "required": {
             "batch": "batch section missing from fresh output",
-            "residency": "residency section missing from fresh output",
             "simd.backends": "simd section missing or empty in fresh output",
         },
         "sections": {
@@ -171,8 +171,6 @@ BENCHES = {
             "ratios": {"gated": ["sort_pair_reduction"]},
             "batch": {"timed": TIME_FIELDS, "flags": {
                 "identical_to_sequential": "batch output diverged from sequential rendering"}},
-            "residency": {"flags": {"identical_to_upfront":
-                "streamed compressed-residency render diverged from up-front decode"}},
             "simd": {"lists": {"backends": {"key": "backend", "fresh_side": True, "flags": {
                 "exact_identical_to_scalar":
                     "exact-mode framebuffer diverged from the scalar backend"}}}},

@@ -5,7 +5,7 @@ Each test builds synthetic BENCH_*.json documents, writes them to a temp
 directory, runs check_bench.py as a subprocess (the same way CI invokes it)
 and asserts on the exit code and the violation text. Covers: the identity
 run, the +/-15% counter tolerance (both sides), --tolerance, hard
-correctness flags (lossless, batch/simd/residency identity, temporal /
+correctness flags (lossless, batch/simd identity, temporal /
 dataset / quality / telemetry / service gates), the exact
 accelerator-model gate (hardware), the paper report's exact / gated /
 timed figures (paper), scale mismatch,
@@ -52,7 +52,6 @@ def software_doc():
         "gstg": gstg,
         "ratios": {"sort_pair_reduction": 0.625},
         "batch": {"identical_to_sequential": True},
-        "residency": {"identical_to_upfront": True},
         "simd": {
             "backends": [
                 {"backend": "scalar", "exact_identical_to_scalar": True},
@@ -298,18 +297,6 @@ class CheckBenchTest(unittest.TestCase):
         del fresh["scenes"][0]["simd"]["backends"][1]["backend"]
         self.assert_fails(self.run_gate(fresh, software_doc()),
                           "orbit.simd.backends[1]: fresh record lacks its key field 'backend'")
-
-    def test_residency_divergence_fails(self):
-        fresh = software_doc()
-        fresh["scenes"][0]["residency"]["identical_to_upfront"] = False
-        self.assert_fails(self.run_gate(fresh, software_doc()),
-                          "streamed compressed-residency render diverged")
-
-    def test_missing_residency_section_fails(self):
-        fresh = software_doc()
-        del fresh["scenes"][0]["residency"]
-        self.assert_fails(self.run_gate(fresh, software_doc()),
-                          "orbit.residency: residency section missing from fresh output")
 
     def test_missing_scene_fails(self):
         fresh = software_doc()
@@ -578,6 +565,12 @@ class CheckBenchTest(unittest.TestCase):
         fresh["scenes"][0]["verify_ok"] = False
         self.assert_fails(self.section_gate("dataset", fresh, dataset_doc()),
                           "dataset.orbit: kVerify failed or the streamed image diverged")
+
+    def test_dataset_missing_scene_fails(self):
+        fresh = dataset_doc()
+        fresh["scenes"] = []
+        self.assert_fails(self.section_gate("dataset", fresh, dataset_doc()),
+                          "dataset.orbit: scene missing from fresh output")
 
     def test_dataset_missing_fixture_fails(self):
         fresh = dataset_doc()

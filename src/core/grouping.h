@@ -1,5 +1,6 @@
 // The GS-TG tile-grouping stages (paper section IV-B):
-//   group identification -> bitmask generation -> group-wise sorting
+//   group identification (bin_splats on the group grid, render/binning.h)
+//   -> bitmask generation -> group-wise sorting
 //   -> bitmask-filtered tile-wise rasterization.
 // Each stage is exposed separately so tests can probe invariants and the
 // cycle-level simulator can consume the intermediate data.
@@ -28,12 +29,6 @@ struct GroupedFrame {
   BinnedSplats group_bins;
   std::vector<TileMask> masks;
 };
-
-/// Group identification: bins splats at group granularity with the group
-/// boundary method. Counter semantics match baseline binning, but at group
-/// scale — tile_pairs then measures the *sorting* volume GS-TG pays.
-BinnedSplats identify_groups(std::span<const ProjectedSplat> splats, const CellGrid& group_grid,
-                             const GsTgConfig& config, RenderCounters& counters);
 
 /// Bitmask generation: for every (group, splat) entry, marks which small
 /// tiles inside the group the splat's footprint touches, using the mask

@@ -11,14 +11,8 @@
 
 namespace gstg {
 
-/// Runs the full GS-TG pipeline. StageTimes attribution:
-///   preprocess_ms = features + culling + group identification
-///   bitmask_ms    = bitmask generation (GPU execution runs it sequentially;
-///                   the accelerator overlaps it with sorting — the cycle
-///                   simulator models that, see sim/); 0 when
-///                   GsTgConfig::group_test_is_tile_test() proves the masks
-///   sort_ms       = group-wise sorting
-///   raster_ms     = bitmask filtering + tile-wise rasterization
+/// Runs the full GS-TG pipeline: Renderer::render on a fresh FrameContext,
+/// with the StageTimes attribution core/renderer.h documents.
 RenderResult render_gstg(const GaussianCloud& cloud, const Camera& camera,
                          const GsTgConfig& config);
 

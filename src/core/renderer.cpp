@@ -7,6 +7,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "common/timer.h"
 #include "telemetry/trace.h"
 
 namespace gstg {
@@ -60,47 +61,41 @@ void preprocess_stage(const GsTgConfig& config, const CompressedCloud& cloud,
 /// The frame up to its ordering step: preprocess, then group
 /// identification and bitmask generation over the frame's grids.
 template <class Cloud>
-void begin(const GsTgConfig& config, const Cloud& cloud, const Camera& camera, FrameContext& ctx,
-           Timer& timer) {
+void begin(const GsTgConfig& config, const Cloud& cloud, const Camera& camera,
+           FrameContext& ctx) {
   ctx.times = {};
   ctx.counters = {};
   ctx.quality = {};
   {
-    GSTG_SPAN("preprocess");
+    GSTG_STAGE("preprocess", &ctx.times.preprocess_ms);
     preprocess_stage(config, cloud, camera, ctx);
   }
 
-  // Group identification is bin_splats at group granularity
-  // (identify_groups); charged to the preprocessing stage like the paper.
+  // Group identification is bin_splats at group granularity; charged to
+  // the preprocessing stage like the paper.
   ctx.frame.config = config;
   ctx.frame.tile_grid = CellGrid::over_image(camera.width(), camera.height(), config.tile_size);
   ctx.frame.group_grid = CellGrid::over_image(camera.width(), camera.height(), config.group_size);
   {
-    GSTG_SPAN("binning");
+    GSTG_STAGE("binning", &ctx.times.preprocess_ms);
     bin_splats_into(ctx.splats, ctx.frame.group_grid, config.group_boundary, config.threads,
                     ctx.counters, ctx.frame.group_bins, ctx.binning);
   }
-  ctx.times.preprocess_ms = timer.lap_ms();
-
   {
     // Bitmask generation (sequential here; overlapped with sorting in HW).
-    GSTG_SPAN("bitmask");
+    // When group identification already decided every mask (r = 1 with one
+    // boundary method: the per-tile baseline), writing them is part of that
+    // step and no bitmask stage is charged.
+    GSTG_STAGE("bitmask", config.group_test_is_tile_test() ? &ctx.times.preprocess_ms
+                                                           : &ctx.times.bitmask_ms);
     generate_bitmasks_into(ctx.splats, ctx.frame.group_bins, ctx.frame.tile_grid, config,
                            ctx.counters, ctx.frame.masks);
   }
-  // When group identification already decided every mask (r = 1 with one
-  // boundary method: the per-tile baseline), writing them is part of that
-  // step and no bitmask stage is charged.
-  const double mask_ms = timer.lap_ms();
-  if (config.group_test_is_tile_test()) {
-    ctx.times.preprocess_ms += mask_ms;
-  } else {
-    ctx.times.bitmask_ms = mask_ms;
-  }
 }
 
-void order(const GsTgConfig& config, FrameContext& ctx) {
-  GSTG_SPAN("sort_groups");
+/// The plain group sort; `sort_ms` is the field it adds to (nullptr: none).
+void order(const GsTgConfig& config, FrameContext& ctx, double* sort_ms) {
+  GSTG_STAGE("sort_groups", sort_ms);
   sort_groups(ctx.frame.group_bins, ctx.frame.masks, ctx.splats, config.threads, ctx.counters,
               SortAlgo::kAuto, &ctx.sort);
 }
@@ -154,18 +149,16 @@ void audit_splats(const FrameContext& ctx, const FrameContext& reference) {
 }
 
 /// The raster stage, then the frame's residency (compressed clouds only)
-/// and pipeline audits against one reference frame, outside every lap.
+/// and pipeline audits against one reference frame, outside every field.
+/// The sortless pipelines ran no ordering: the raw bin order feeds the
+/// order-independent kernel directly (its output is invariant under any
+/// reordering), so sort_ms and sort_pairs stay zero.
 template <class Cloud>
-void end(const GsTgConfig& config, const Cloud& cloud, const Camera& camera, FrameContext& ctx,
-         Timer& timer) {
-  // Whatever ordering ran since bitmask generation is the sort stage. The
-  // sortless pipelines run none: the raw bin order feeds the
-  // order-independent kernel directly (its output is invariant under any
-  // reordering), so ctx.counters reports zero sort_pairs.
-  ctx.times.sort_ms = timer.lap_ms();
+void end(const GsTgConfig& config, const Cloud& cloud, const Camera& camera,
+         FrameContext& ctx) {
   {
     // Tile-wise rasterization with bitmask filtering.
-    GSTG_SPAN("raster");
+    GSTG_STAGE("raster", &ctx.times.raster_ms);
     ctx.image.resize(camera.width(), camera.height());
     if (config.pipeline == PipelineMode::kExact) {
       rasterize_grouped(ctx.frame, ctx.splats, ctx.image, config.threads, ctx.counters,
@@ -175,7 +168,6 @@ void end(const GsTgConfig& config, const Cloud& cloud, const Camera& camera, Fra
                                  &ctx.raster);
     }
   }
-  ctx.times.raster_ms = timer.lap_ms();
 
   const bool residency_audit = std::is_same_v<Cloud, CompressedCloud> &&
                                config.residency == ResidencyMode::kVerify;
@@ -192,10 +184,9 @@ template <class Cloud>
 void render_frame(const GsTgConfig& config, const Cloud& cloud, const Camera& camera,
                   FrameContext& ctx) {
   GSTG_SPAN("frame");
-  Timer timer;
-  begin(config, cloud, camera, ctx, timer);
-  if (config.pipeline == PipelineMode::kExact) order(config, ctx);
-  end(config, cloud, camera, ctx, timer);
+  begin(config, cloud, camera, ctx);
+  if (config.pipeline == PipelineMode::kExact) order(config, ctx, &ctx.times.sort_ms);
+  end(config, cloud, camera, ctx);
 }
 
 }  // namespace
@@ -210,25 +201,24 @@ void Renderer::render(const CompressedCloud& cloud, const Camera& camera,
   render_frame(config_, cloud, camera, ctx);
 }
 
-void Renderer::begin_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx,
-                           Timer& timer) const {
-  begin(config_, cloud, camera, ctx, timer);
+void Renderer::begin_frame(const GaussianCloud& cloud, const Camera& camera,
+                           FrameContext& ctx) const {
+  begin(config_, cloud, camera, ctx);
 }
 
-void Renderer::order_groups(FrameContext& ctx) const { order(config_, ctx); }
+void Renderer::order_groups(FrameContext& ctx) const { order(config_, ctx, nullptr); }
 
-void Renderer::end_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx,
-                         Timer& timer) const {
-  end(config_, cloud, camera, ctx, timer);
+void Renderer::end_frame(const GaussianCloud& cloud, const Camera& camera,
+                         FrameContext& ctx) const {
+  end(config_, cloud, camera, ctx);
 }
 
 const FrameContext& Renderer::order_reference(const GaussianCloud& cloud, const Camera& camera,
                                               FrameContext& ctx) const {
   FrameContext& reference = reference_context(ctx);
   const GsTgConfig config = reference_config(config_);
-  Timer timer;
-  begin(config, cloud, camera, reference, timer);
-  order(config, reference);
+  begin(config, cloud, camera, reference);
+  order(config, reference, &reference.times.sort_ms);
   return reference;
 }
 
@@ -269,7 +259,7 @@ BatchRenderResult render_batch(const GaussianCloud& cloud, std::span<const Camer
     for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(drain);
     for (std::thread& t : pool) t.join();
   }
-  result.wall_ms = timer.lap_ms();
+  result.wall_ms = timer.elapsed_ms();
 
   for (const RenderCounters& c : result.counters) result.total.merge(c);
   return result;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "camera/camera.h"
-#include "common/timer.h"
 #include "core/grouping.h"
 #include "core/pipeline.h"
 #include "gaussian/cloud.h"
@@ -71,7 +70,19 @@ struct FrameContext {
 /// group ordering, then tile raster with bitmask filtering. The render()
 /// overloads differ only in their preprocess step; TemporalRenderer reuses
 /// begin_frame()/end_frame() and supplies only its ordering step.
-/// StageTimes attribution is that of render_gstg (core/pipeline.h).
+///
+/// StageTimes attribution, for every frame path: each field is the sum of
+/// the frame's GSTG_STAGE spans (telemetry/trace.h) named here.
+///   preprocess_ms = preprocess (features + culling) + binning (group
+///                   identification); also bitmask when
+///                   GsTgConfig::group_test_is_tile_test() proves the masks
+///   bitmask_ms    = bitmask (GPU execution runs it sequentially; the
+///                   accelerator overlaps it with sorting — the cycle
+///                   simulator models that, see sim/)
+///   sort_ms       = the ordering step: sort_groups, or TemporalRenderer's
+///                   temporal_sort + audit + snapshot_cache; 0 when sortless
+///   raster_ms     = raster (bitmask filtering + tile-wise rasterization)
+/// The residency and pipeline audits run after the raster, in no field.
 class Renderer {
  public:
   /// Validates and captures the configuration as given (throws
@@ -105,16 +116,15 @@ class Renderer {
   /// runs preprocess, grid set-up, group identification and bitmask
   /// generation. The caller orders ctx.frame — order_groups(), or its own
   /// order — under the exact pipeline only: kSortless/kVerify blend the raw
-  /// bin order. end_frame charges whatever ran in between to sort_ms, runs
-  /// the raster stage and (kVerify) the pipeline audit into ctx.quality.
-  /// `timer` carries the stage laps from begin_frame to end_frame.
-  void begin_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx,
-                   Timer& timer) const;
-  void end_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx,
-                 Timer& timer) const;
+  /// bin order. The caller's ordering stages add their own time to sort_ms.
+  /// end_frame runs the raster stage and (kVerify) the pipeline audit into
+  /// ctx.quality.
+  void begin_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx) const;
+  void end_frame(const GaussianCloud& cloud, const Camera& camera, FrameContext& ctx) const;
 
   /// The plain ordering step: depth-sorts every group list of ctx.frame
-  /// with its masks (core/grouping.h's sort_groups).
+  /// with its masks (core/grouping.h's sort_groups). Its span adds to no
+  /// StageTimes field; a caller's enclosing stage carries the time.
   void order_groups(FrameContext& ctx) const;
 
   /// Runs config()'s reference frame into ctx.reference up to and including

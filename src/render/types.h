@@ -70,7 +70,8 @@ struct ProjectedSplat {
 /// Wall-clock per-stage timings (milliseconds). The paper's three-stage
 /// split: preprocessing = feature computation + culling + tile (or group)
 /// identification; sorting; rasterization. GS-TG adds bitmask generation,
-/// reported separately and attributed per execution model (see core/).
+/// reported separately. Each field sums the frame's stage spans; the
+/// attribution is documented at Renderer (core/renderer.h).
 struct StageTimes {
   double preprocess_ms = 0.0;
   double sort_ms = 0.0;

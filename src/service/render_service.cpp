@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/runconfig.h"
-#include "common/timer.h"
 #include "core/pipeline.h"
 #include "dataset/dataset.h"
 #include "gaussian/ply_io.h"
@@ -313,10 +312,10 @@ RenderResponse RenderService::render_one(const RenderRequest& request, const Gau
                                          FrameContext& stateless_ctx, Renderer& fast,
                                          FrameContext& fast_ctx) {
   RenderResponse response;
-  Timer timer;
   try {
+    double render_ms = 0.0;
     {
-      GSTG_SPAN("service_render");
+      GSTG_STAGE("service_render", &render_ms);
       if (request.fast_tier) {
         // Sortless fast tier: stateless by validation, rendered through the
         // per-worker kSortless renderer. Lossy vs the exact pipeline, but
@@ -341,7 +340,7 @@ RenderResponse RenderService::render_one(const RenderRequest& request, const Gau
         response.counters = stateless_ctx.counters;
       }
     }
-    telemetry::MetricsRegistry::global().record_latency("service.render_ms", timer.lap_ms());
+    telemetry::MetricsRegistry::global().record_latency("service.render_ms", render_ms);
     if (config_.verify) {
       // The kVerify-style service gate: every response must be bit-identical
       // to a sequential one-shot render of the same request. Fast-tier

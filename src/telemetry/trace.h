@@ -5,7 +5,8 @@
 // Hot-path contract (the reason this layer may be threaded through every
 // pipeline stage):
 //   * disabled  — GSTG_SPAN costs one relaxed atomic load and a predictable
-//     branch; nothing else happens, nothing allocates;
+//     branch; nothing else happens, nothing allocates. GSTG_STAGE adds the
+//     two steady-clock reads its StageTimes field needs;
 //   * enabled   — the owning thread appends a fixed-size record into its own
 //     ring with plain stores plus one release store of the count. No locks,
 //     no allocation in the steady state (a thread's ring is allocated once,
@@ -13,6 +14,8 @@
 //   * overflow  — a full ring drops the span and counts the drop. Recording
 //     never blocks and never grows a buffer mid-frame.
 //
+// The stage spans are the frame's only stage clock: each GSTG_STAGE adds
+// its duration to one StageTimes field (docs/ARCHITECTURE.md lists which).
 // Telemetry is observational by design: spans never touch RenderCounters or
 // images, so every determinism/bit-identity invariant holds with tracing on
 // (tests/telemetry/test_trace_determinism.cpp asserts this).
@@ -95,24 +98,29 @@ void emit_instant(const char* name);
 /// whose spans would otherwise show up as "thread-N".
 void set_thread_name(const std::string& name);
 
-/// RAII span: records [construction, destruction) under `name`. The macro
-/// below is the normal spelling.
+/// RAII span: records [construction, destruction) under `name`. A stage
+/// scope also gets `stage_ms`, a StageTimes field: it then stamps entry and
+/// exit whether or not tracing is on and adds the elapsed milliseconds to
+/// that field, so a field is exactly the sum of its exported spans. The
+/// macros below are the normal spelling.
 class SpanScope {
  public:
-  explicit SpanScope(const char* name) {
-    if (enabled()) {
-      name_ = name;
-      begin_ns_ = now_ns();
-    }
+  explicit SpanScope(const char* name, double* stage_ms = nullptr) : stage_ms_(stage_ms) {
+    if (enabled()) name_ = name;
+    if (name_ != nullptr || stage_ms_ != nullptr) begin_ns_ = now_ns();
   }
   ~SpanScope() {
-    if (name_ != nullptr) emit_span(name_, begin_ns_, now_ns());
+    if (name_ == nullptr && stage_ms_ == nullptr) return;
+    const std::uint64_t end_ns = now_ns();
+    if (stage_ms_ != nullptr) *stage_ms_ += static_cast<double>(end_ns - begin_ns_) * 1e-6;
+    if (name_ != nullptr) emit_span(name_, begin_ns_, end_ns);
   }
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
  private:
   const char* name_ = nullptr;  ///< nullptr = tracing was off at entry
+  double* stage_ms_ = nullptr;  ///< nullptr = no StageTimes field
   std::uint64_t begin_ns_ = 0;
 };
 
@@ -182,9 +190,13 @@ void ensure_collecting();
 
 }  // namespace gstg::telemetry
 
-// Scoped span macro: GSTG_SPAN("sort_groups") traces the enclosing scope.
-// Expands to a uniquely named local so multiple spans can share a scope.
+// Scoped span macros: GSTG_SPAN("sort_groups") traces the enclosing scope;
+// GSTG_STAGE("raster", &ctx.times.raster_ms) also adds its duration to that
+// StageTimes field (a null field makes it a plain GSTG_SPAN). Each expands
+// to a uniquely named local so multiple spans can share a scope.
 #define GSTG_SPAN_CONCAT2(a, b) a##b
 #define GSTG_SPAN_CONCAT(a, b) GSTG_SPAN_CONCAT2(a, b)
 #define GSTG_SPAN(name) \
   ::gstg::telemetry::SpanScope GSTG_SPAN_CONCAT(gstg_span_, __LINE__)(name)
+#define GSTG_STAGE(name, field) \
+  ::gstg::telemetry::SpanScope GSTG_SPAN_CONCAT(gstg_span_, __LINE__)(name, field)

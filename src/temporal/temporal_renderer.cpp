@@ -41,34 +41,33 @@ void TemporalRenderer::invalidate() {
 void TemporalRenderer::render(const GaussianCloud& cloud, const Camera& camera,
                               FrameContext& ctx) {
   GSTG_SPAN("frame");
-  Timer timer;
-  renderer_.begin_frame(cloud, camera, ctx, timer);
+  renderer_.begin_frame(cloud, camera, ctx);
 
-  // Group ordering: reuse the cached cross-frame order where provably
-  // valid, sort the rest, audit it (kVerify); then snapshot the shipped
-  // lists for the next frame. The sortless pipelines bypass the cache
-  // cleanly: nothing sorts, so there is no order to snapshot, reuse, or
-  // audit — the cache is never touched and every TemporalStats field stays
-  // zero (frames excepted).
+  // Group ordering, all of it the sort stage: reuse the cached cross-frame
+  // order where provably valid, sort the rest, audit it (kVerify); then
+  // snapshot the shipped lists for the next frame. The sortless pipelines
+  // bypass the cache cleanly: nothing sorts, so there is no order to
+  // snapshot, reuse, or audit — the cache is never touched and every
+  // TemporalStats field stays zero (frames excepted).
   last_ = {};
   if (config().pipeline == PipelineMode::kExact) {
     {
-      GSTG_SPAN("temporal_sort");
+      GSTG_STAGE("temporal_sort", &ctx.times.sort_ms);
       temporal_sort(ctx.splats, ctx);
     }
     if (config().temporal == TemporalMode::kVerify) {
-      GSTG_SPAN("audit");
+      GSTG_STAGE("audit", &ctx.times.sort_ms);
       audit_order(cloud, camera, ctx);
     }
     if (config().temporal != TemporalMode::kOff) {
-      GSTG_SPAN("snapshot_cache");
+      GSTG_STAGE("snapshot_cache", &ctx.times.sort_ms);
       snapshot_cache(ctx.frame, ctx.splats, cloud.size());
     }
   }
   last_.frames = 1;
   total_.merge(last_);
 
-  renderer_.end_frame(cloud, camera, ctx, timer);
+  renderer_.end_frame(cloud, camera, ctx);
 }
 
 void TemporalRenderer::audit_order(const GaussianCloud& cloud, const Camera& camera,
@@ -317,7 +316,7 @@ TemporalSequenceResult render_sequence(const GaussianCloud& cloud,
     result.frame_stats[f] = renderer.last_frame();
     result.total_counters.merge(ctx.counters);
   }
-  result.wall_ms = timer.lap_ms();
+  result.wall_ms = timer.elapsed_ms();
   result.total_stats = renderer.total();
   return result;
 }

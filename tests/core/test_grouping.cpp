@@ -332,7 +332,7 @@ TEST(Grouping, GroupPairsFarFewerThanTilePairs) {
 
 TEST(Grouping, AdversarialFootprintsSurviveGroupingAndBitmasks) {
   // Degenerate splats through the group-granularity callers of the
-  // candidate-cell math: identify_groups and generate_bitmasks_into must not
+  // candidate-cell math: group binning and generate_bitmasks_into must not
   // perform unclamped float→int casts (UBSan).
   constexpr float nan = std::numeric_limits<float>::quiet_NaN();
   constexpr float inf = std::numeric_limits<float>::infinity();
@@ -359,7 +359,7 @@ TEST(Grouping, AdversarialFootprintsSurviveGroupingAndBitmasks) {
 
   GsTgConfig config;
   RenderCounters cf;
-  const BinnedSplats flat = identify_groups(splats, group_grid, config, cf);
+  const BinnedSplats flat = bin_splats(splats, group_grid, config.group_boundary, config.threads, cf);
   for (int g = 0; g < group_grid.cell_count(); ++g) {
     const auto list = flat.cell_list(g);
     EXPECT_NE(std::find(list.begin(), list.end(), 0u), list.end()) << "group " << g;
@@ -398,7 +398,7 @@ TEST(Grouping, LargeGridListsAscendingAtEveryThreadCount) {
 
   config.threads = 4;
   RenderCounters c4;
-  const BinnedSplats four = identify_groups(splats, grid, config, c4);
+  const BinnedSplats four = bin_splats(splats, grid, config.group_boundary, config.threads, c4);
   for (int c = 0; c < grid.cell_count(); ++c) {
     const auto list = four.cell_list(c);
     ASSERT_EQ(std::adjacent_find(list.begin(), list.end(), std::greater_equal<>()), list.end())
@@ -406,7 +406,7 @@ TEST(Grouping, LargeGridListsAscendingAtEveryThreadCount) {
   }
   config.threads = 1;
   RenderCounters c1;
-  const BinnedSplats one = identify_groups(splats, grid, config, c1);
+  const BinnedSplats one = bin_splats(splats, grid, config.group_boundary, config.threads, c1);
   EXPECT_EQ(four.offsets, one.offsets);
   EXPECT_EQ(four.splat_ids, one.splat_ids);
 }

@@ -1,6 +1,8 @@
 // gstg-lint fixture: R5 must flag naked lock()/unlock(), rand(),
-// std::function in hot scope, and mode-knob env reads in library scope
-// (fixture mode applies the union of scopes).
+// std::function in hot scope, and mode-knob env reads and Timer::lap_ms
+// stage bookkeeping in library scope (fixture mode applies the union of
+// scopes).
+// gstg-lint-expect: 7
 #include <cstdlib>
 #include <functional>
 #include <mutex>
@@ -19,5 +21,8 @@ int unsafe_sample(const std::function<int()>& pick) {
 const char* pipeline_override() { return std::getenv("GSTG_PIPELINE"); }
 
 const char* simd_override() { return std::getenv("GSTG_SIMD"); }
+
+template <class Timer>
+double stage_ms(Timer& timer) { return timer.lap_ms(); }
 
 }  // namespace fixture

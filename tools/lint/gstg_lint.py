@@ -750,6 +750,9 @@ R5_HOT_ONLY = [
 R5_LIBRARY_ONLY = [
     (re.compile(r"\b(?:resolve_from_env|mode_from_env)\s*\("),
      "mode-knob resolution inside the library; resolve GSTG_* mode knobs at the process edge"),
+    (re.compile(r"\blap_ms\s*\("),
+     "Timer::lap_ms stage bookkeeping inside the library; time a stage with GSTG_STAGE "
+     "(telemetry/trace.h), the one stage clock"),
 ]
 
 
@@ -972,9 +975,14 @@ def self_test(repo_root, engine):
         files = collect_files(repo_root, None, [path])
         findings = run_rules(files, set(RULES), repo_root, fixture_mode=True)
         rule_hits = [f for f in findings if f.rule == rule]
+        with open(path, encoding="utf-8") as f:
+            count = re.search(r"gstg-lint-expect:\s*(\d+)", f.read())
         if expect == "fail" and not rule_hits:
             failures.append(f"{base}: expected a {rule} finding, got none "
                             f"(other findings: {[f.render() for f in findings]})")
+        elif count and len(rule_hits) != int(count.group(1)):
+            failures.append(f"{base}: expected {count.group(1)} {rule} finding(s), got "
+                            f"{len(rule_hits)}: " + "; ".join(f.render() for f in rule_hits))
         elif expect == "pass" and findings:
             failures.append(f"{base}: expected clean, got: " +
                             "; ".join(f.render() for f in findings))
